@@ -16,38 +16,186 @@ type json =
 
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    | c -> Buffer.add_char buf c
+  done;
   Buffer.add_char buf '"'
 
-(* The C-level formatter Printf.sprintf delegates to, minus the
-   per-call format interpretation: one snprintf per float instead of
-   ~650ns of CamlinternalFormat machinery.  Output bytes are identical
-   — the determinism twins compare renderings against the Printf
-   reference. *)
+(* Number rendering.  The contract is the bytes [%.17g] prints (17
+   significant digits, not the shortest round trip), with integral
+   values below 1e15 printed as integers and [-0] keeping its sign.
+   For [1e-10 <= |x| < 1e17] the digits are computed here in integer
+   arithmetic; libc's snprintf cost ~0.7 us per float, most of a wide
+   query's reply time.  A rendering is composed right to left in a
+   per-domain scratch and appended with one blit, so nothing on the
+   fast path allocates once [buf] has grown to fit.  Nothing between
+   filling the scratch and the blit can render another number on the
+   same domain. *)
+
+let scratch = Domain.DLS.new_key (fun () -> Bytes.create 32)
+
+let add_int buf n =
+  let s = Domain.DLS.get scratch in
+  (* digits of [v <= 0], so that [min_int] negates without overflow *)
+  let v = ref (if n < 0 then n else -n) and pos = ref 32 in
+  while
+    decr pos;
+    Bytes.unsafe_set s !pos (Char.unsafe_chr (48 - (!v mod 10)));
+    v := !v / 10;
+    !v <> 0
+  do
+    ()
+  done;
+  if n < 0 then begin
+    decr pos;
+    Bytes.unsafe_set s !pos '-'
+  end;
+  Buffer.add_subbytes buf s !pos (32 - !pos)
+
+let e16 = 10_000_000_000_000_000
+let e17 = 10 * e16
+
+(* 5^p for p in [0, 26]; 5^26 < 2^61 still fits an OCaml int. *)
+let pow5 =
+  let t = Array.make 27 1 in
+  for p = 1 to 26 do
+    t.(p) <- 5 * t.(p - 1)
+  done;
+  t
+
+(* The %g layout of [d * 10^(e10 - 16)], [d] a 17-digit integer:
+   trailing zeros and a bare '.' dropped; fixed notation for
+   [-4 <= e10 < 17], else [d.ddde±XX] with at least two exponent
+   digits. *)
+let add_g17 buf neg d e10 =
+  let s = Domain.DLS.get scratch in
+  let v = ref d and n = ref 17 in
+  while !v mod 10 = 0 do
+    v := !v / 10;
+    decr n
+  done;
+  let pos = ref 32 in
+  let fixed = e10 >= -4 && e10 < 17 in
+  if not fixed then begin
+    let a = ref (abs e10) in
+    while !a > 0 || !pos > 30 do
+      decr pos;
+      Bytes.unsafe_set s !pos (Char.unsafe_chr (48 + (!a mod 10)));
+      a := !a / 10
+    done;
+    decr pos;
+    Bytes.unsafe_set s !pos (if e10 < 0 then '-' else '+');
+    decr pos;
+    Bytes.unsafe_set s !pos 'e'
+  end;
+  (* significand digits before the point *)
+  let lead = if not fixed then 1 else if e10 >= 0 then e10 + 1 else 0 in
+  for _ = !n to lead - 1 do
+    decr pos;
+    Bytes.unsafe_set s !pos '0'
+  done;
+  if !n > lead then begin
+    for _ = lead to !n - 1 do
+      decr pos;
+      Bytes.unsafe_set s !pos (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10
+    done;
+    if lead = 0 then
+      for _ = 2 to -e10 do
+        decr pos;
+        Bytes.unsafe_set s !pos '0'
+      done;
+    decr pos;
+    Bytes.unsafe_set s !pos '.'
+  end;
+  if lead = 0 then begin
+    decr pos;
+    Bytes.unsafe_set s !pos '0'
+  end
+  else
+    while !v > 0 do
+      decr pos;
+      Bytes.unsafe_set s !pos (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10
+    done;
+  if neg then begin
+    decr pos;
+    Bytes.unsafe_set s !pos '-'
+  end;
+  Buffer.add_subbytes buf s !pos (32 - !pos)
+
+(* [|x| = m * 2^e] with [m] a 53-bit integer, [1e-10 <= |x| < 1e17] and
+   [p = 16 - E] for a guess [E] of the decimal exponent that is never too
+   high.  Writes [D = round_half_even (m * 5^p * 2^(e + p))], the 17
+   significant digits of [|x|]; when the guess was one too low, [D]
+   comes out at 10^17 or more and the call retries with [p - 1].
+   [m * 5^p] (< 2^114) is taken as a product of 31-bit limbs and kept
+   as [hi * 2^62 + lo]; with [D >= 10^16] the shift [s] stays below
+   62. *)
+let rec add_sig17 buf neg m e p =
+  let f = Array.unsafe_get pow5 p in
+  let s = -(e + p) in
+  if s <= 0 then begin
+    (* |x| >= 2^53: the product is an exact integer *)
+    let d = (m * f) lsl (-s) in
+    if d >= e17 then add_sig17 buf neg m e (p - 1) else add_g17 buf neg d (16 - p)
+  end
+  else begin
+    let m0 = m land 0x7fff_ffff and m1 = m lsr 31 in
+    let f0 = f land 0x7fff_ffff and f1 = f lsr 31 in
+    let t0 = m0 * f0 in
+    let t1 = (m0 * f1) + (m1 * f0) + (t0 lsr 31) in
+    let lo = ((t1 land 0x7fff_ffff) lsl 31) lor (t0 land 0x7fff_ffff) in
+    let hi = (m1 * f1) + (t1 lsr 31) in
+    let q = (hi lsl (62 - s)) lor (lo lsr s) in
+    if q >= e17 then add_sig17 buf neg m e (p - 1)
+    else begin
+      let half = (lo lsr (s - 1)) land 1 = 1 in
+      let sticky = lo land ((1 lsl (s - 1)) - 1) <> 0 in
+      let d = if half && (sticky || q land 1 = 1) then q + 1 else q in
+      (* a carry into the next decade renormalises *)
+      if d = e17 then add_g17 buf neg e16 (17 - p) else add_g17 buf neg d (16 - p)
+    end
+  end
+
+(* [b]: the bits of a finite [x] with [1e-10 <= |x| < 1e17], modulo
+   2^63 (the sign bit dropped).  Such an [x] is normal.  The first
+   guess at the decimal exponent, floor (floor (log2 |x|) * log10 2),
+   is at most one too low; it is clamped to -10 since |x| >= 1e-10. *)
+let add_fast_float buf neg b =
+  let m = (b land 0xf_ffff_ffff_ffff) lor 0x10_0000_0000_0000 in
+  let e = ((b lsr 52) land 0x7ff) - 1075 in
+  let guess = ((e + 52) * 78913) asr 18 in
+  add_sig17 buf neg m e (16 - max guess (-10))
+
+(* The libc formatter Printf.sprintf delegates to, kept for magnitudes
+   outside the fast range (|x| < 1e-10, |x| >= 1e17), which are rare
+   among served estimates. *)
 external format_float : string -> float -> string = "caml_format_float"
 
-let add_num buf x =
+(* Inlined so that a float read from a [float array] stays unboxed. *)
+let[@inline] add_num buf x =
+  let ax = Float.abs x in
   if not (Float.is_finite x) then Buffer.add_string buf "null"
-  else if Float.is_integer x && Float.abs x < 1e15 then
+  else if ax < 1e15 && Float.trunc x = x then
     if x = 0. && 1. /. x < 0. then
       (* %.0f renders negative zero with its sign; int_of_float drops
          it. *)
       Buffer.add_string buf "-0"
     else
-      (* |x| < 1e15 < 2^53: int_of_float is exact and string_of_int
-         prints the same digits %.0f would. *)
-      Buffer.add_string buf (string_of_int (int_of_float x))
+      (* |x| < 1e15 < 2^53: int_of_float is exact and the integer
+         digits are the ones %.0f would print. *)
+      add_int buf (int_of_float x)
+  else if ax >= 1e-10 && ax < 1e17 then
+    add_fast_float buf (x < 0.) (Int64.to_int (Int64.bits_of_float x))
   else Buffer.add_string buf (format_float "%.17g" x)
 
 let rec add_json buf = function
@@ -617,8 +765,8 @@ let response_json = function
       Some (Obj fields)
 
 (* Direct writer: emits the exact bytes [json_to_string (response_json r)]
-   would, without building the AST — the steady-state encode path
-   allocates only the float renderings.  Field order and float encoding
+   would, without building the AST — once [buf] has grown to fit, the
+   steady-state encode path allocates nothing.  Field order and float encoding
    are contractual (restart/jobs-parity tests compare whole response
    lines), so every branch here mirrors [response_json] field for
    field. *)
@@ -651,11 +799,10 @@ let encode_response_into buf = function
       Buffer.add_string buf ",\"rung\":";
       escape_string buf (rung_to_string rung);
       Buffer.add_string buf ",\"estimates\":[";
-      Array.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          add_num buf x)
-        estimates;
+      for i = 0 to Array.length estimates - 1 do
+        if i > 0 then Buffer.add_char buf ',';
+        add_num buf (Array.unsafe_get estimates i)
+      done;
       Buffer.add_char buf ']';
       (match rmse_bound with
       | Some b ->

@@ -44,8 +44,15 @@ type json =
 
 val json_to_string : json -> string
 (** Compact rendering.  Non-finite numbers encode as [null] (JSON has
-    no representation for them); integral floats print without a
-    fractional part; everything else through [%.17g] (lossless). *)
+    no representation for them); integral floats below 1e15 print as
+    integers ([-0] keeps its sign); everything else as libc's [%.17g]
+    prints it: 17 significant digits, which round-trip but are not the
+    shortest digits that would.  Magnitudes from 1e-10 up to 1e17 are
+    rendered without libc; the rest call its formatter. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf n] appends the bytes [string_of_int n] would, without
+    allocating once [buf] has grown to fit. *)
 
 val json_of_string : string -> (json, string) result
 (** Strict parser for the subset above (no trailing garbage).  String
@@ -154,7 +161,9 @@ val encode_response : response -> string
 val encode_response_into : Buffer.t -> response -> unit
 (** The allocation-lean encode path: appends exactly the bytes
     {!encode_response} returns to [buf] (which the server reuses across
-    requests).  Does not clear [buf] and adds no trailing newline. *)
+    requests).  Does not clear [buf] and adds no trailing newline.
+    Once [buf] has grown to fit, encoding an [Answers] reply whose
+    numbers lie in the libc-free range above allocates nothing. *)
 
 val response_json : response -> json option
 (** The AST rendering of a response — the determinism twin for

@@ -191,13 +191,13 @@ let pending t = Queue.length t.queue
 let cache_key ~synopsis ~ranges =
   let b = Buffer.create (String.length synopsis + 8 * Array.length ranges) in
   Buffer.add_string b synopsis;
-  Array.iter
-    (fun (a, bb) ->
-      Buffer.add_char b '|';
-      Buffer.add_string b (string_of_int a);
-      Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int bb))
-    ranges;
+  for i = 0 to Array.length ranges - 1 do
+    let a, bb = ranges.(i) in
+    Buffer.add_char b '|';
+    P.add_int b a;
+    Buffer.add_char b ',';
+    P.add_int b bb
+  done;
   Buffer.contents b
 
 let cache_put t key gen estimates =
@@ -457,8 +457,8 @@ let answer_ingest t ~id ~synopsis ~deltas =
 
 (* All response lines go out through the server's one scratch buffer:
    the steady-state encode path allocates only the response string
-   itself (plus float renderings) — coordinator-only, like the cache
-   and the metrics registry. *)
+   itself — coordinator-only, like the cache and the metrics
+   registry. *)
 let encode t response =
   Buffer.clear t.scratch;
   P.encode_response_into t.scratch response;
