@@ -1160,27 +1160,32 @@ let serve_batch_bench () =
      with _ -> ());
     ignore (Unix.waitpid [] pid)
   in
-  let per_client_total = if quick then 1200 else 5000 in
-  let best_qps ~clients =
-    let per_client = per_client_total / clients in
-    let best = ref 0. in
-    let responses = ref [] in
-    for _ = 1 to 3 do
-      let qps, lines = drive ~clients ~per_client in
-      if qps > !best then best := qps;
-      responses := lines
-    done;
-    (!best, !responses)
-  in
+  let per_client_total = if quick then 12000 else 30000 in
+  (* 1-client and 4-client rounds alternate, and the claim reads the
+     median of each round pair's 4-client/1-client ratio: both halves of
+     a pair sample the same phase of a shared host, where the best round
+     of each side could come from different phases (best-of-3 per side
+     read 0.80x–1.38x on one tree). *)
+  let rounds = 15 in
   let pid = spawn_daemon () in
-  let qps1, _ = best_qps ~clients:1 in
-  let qps4, responses4 = best_qps ~clients:4 in
+  let ratios = Array.make rounds 0. in
+  let best1 = ref 0. and best4 = ref 0. and last4 = ref [] in
+  for r = 0 to rounds - 1 do
+    let q1, _ = drive ~clients:1 ~per_client:per_client_total in
+    let q4, lines = drive ~clients:4 ~per_client:(per_client_total / 4) in
+    ratios.(r) <- q4 /. q1;
+    best1 := Float.max !best1 q1;
+    best4 := Float.max !best4 q4;
+    last4 := lines
+  done;
+  Array.sort compare ratios;
+  let qps1 = !best1 and qps4 = !best4 and responses4 = !last4 in
   (* kill -9, restart, re-drive the 4-client interleaving: per-client
      response streams must be byte-identical and correctly routed *)
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] pid);
   let pid2 = spawn_daemon () in
-  let _, responses4' = best_qps ~clients:4 in
+  let _, responses4' = drive ~clients:4 ~per_client:(per_client_total / 4) in
   shutdown_daemon pid2;
   let routed_ok =
     List.for_all2
@@ -1197,10 +1202,11 @@ let serve_batch_bench () =
       [ 0; 1; 2; 3 ] responses4
   in
   let restart_identical = responses4 = responses4' in
-  let qps_ratio = qps4 /. qps1 in
+  let qps_ratio = ratios.(rounds / 2) in
   Printf.printf
-    "daemon over %s: 1 client %7.0f req/s   4 clients %7.0f req/s \
-     (%.2fx)   routed ok %b   restart byte-identical %b\n"
+    "daemon over %s: best 1 client %7.0f req/s   best 4 clients %7.0f \
+     req/s   median pair ratio %.2fx   routed ok %b   restart \
+     byte-identical %b\n"
     socket qps1 qps4 qps_ratio routed_ok restart_identical;
   (* (d) the steady-state allocation contract, whole server path. *)
   let alloc_server =
@@ -1294,14 +1300,15 @@ let serve_batch_bench () =
         E.Claims.claim_id = "G9c";
         description =
           "4 pipelined clients sustain at least the 1-client aggregate qps \
-           (timing half, waived below 2 cores); every response is routed to \
-           the asking connection and per-client response streams are \
-           byte-identical across a kill -9 restart (never waived)";
+           (median over alternating round pairs; timing half, waived below \
+           2 cores); every response is routed to the asking connection and \
+           per-client response streams are byte-identical across a kill -9 \
+           restart (never waived)";
         measured =
           Printf.sprintf
-            "qps 1-client %.0f, 4-client %.0f (%.2fx)%s; routed_ok=%b, \
-             restart_identical=%b"
-            qps1 qps4 qps_ratio
+            "best qps 1-client %.0f, 4-client %.0f; median of %d pair ratios \
+             %.2fx%s; routed_ok=%b, restart_identical=%b"
+            qps1 qps4 rounds qps_ratio
             (if cores < 2 then
                Printf.sprintf " (timing waived: runtime reports %d core(s))"
                  cores

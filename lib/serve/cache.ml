@@ -46,7 +46,16 @@ let push_newest t node =
   node.next <- None;
   (match t.newest with Some nw -> nw.next <- Some node | None -> ());
   t.newest <- Some node;
-  if t.oldest = None then t.oldest <- Some node
+  if Option.is_none t.oldest then t.oldest <- Some node
+
+(* Move [node] to the most-recent end.  The newest node is compared by
+   identity, so a hit on it neither allocates nor relinks. *)
+let touch t node =
+  match t.newest with
+  | Some nw when nw == node -> ()
+  | _ ->
+      unlink t node;
+      push_newest t node
 
 let find t key =
   match Hashtbl.find_opt t.table key with
@@ -54,10 +63,7 @@ let find t key =
   | Some node ->
       (* LRU: a hit refreshes recency; FIFO: age is insertion order
          only, exactly the Queue semantics the server shipped with. *)
-      if t.policy = Lru && t.newest != Some node then begin
-        unlink t node;
-        push_newest t node
-      end;
+      if t.policy = Lru then touch t node;
       Some node.value
 
 let mem t key = Hashtbl.mem t.table key
@@ -78,10 +84,7 @@ let put t key value =
            (the old Hashtbl+Queue path never re-queued a live key);
            LRU treats the write as a touch. *)
         node.value <- value;
-        if t.policy = Lru && t.newest != Some node then begin
-          unlink t node;
-          push_newest t node
-        end
+        if t.policy = Lru then touch t node
     | None ->
         if t.length >= t.capacity then evict_oldest t;
         let node = { key; value; prev = None; next = None } in

@@ -34,82 +34,106 @@ let close_client ?by_fd clients client =
   Hashtbl.remove clients client.id;
   Option.iter (fun t -> Hashtbl.remove t client.fd) by_fd
 
-(* Feed freshly read bytes into the client's line buffer and serve every
-   complete line.  Returns [false] when the connection should close
-   (EOF or an unterminated line past [max_line]).
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* Read chunk size: a client's window of ~3 KB query lines arrives in
+   one read. *)
+let read_size = 1 lsl 16
+
+(* The index of the first '\n' in [bytes] between [i] and [len], or
+   [len].  Eight bytes at a time: [x = w xor 0x0a..0a] has a zero byte
+   exactly where [w] has a newline, and [(x - 0x01..01) land (lnot x)
+   land 0x80..80] is nonzero exactly when [x] has a zero byte; the word
+   that hits is then scanned byte by byte. *)
+let rec newline_bytewise bytes i len =
+  if i < len && Bytes.unsafe_get bytes i <> '\n' then
+    newline_bytewise bytes (i + 1) len
+  else i
+
+let rec newline_wordwise bytes i len =
+  if i + 8 > len then newline_bytewise bytes i len
+  else
+    let x = Int64.logxor (get64u bytes i) 0x0a0a_0a0a_0a0a_0a0aL in
+    if
+      Int64.logand
+        (Int64.logand (Int64.sub x 0x0101_0101_0101_0101L) (Int64.lognot x))
+        0x8080_8080_8080_8080L
+      = 0L
+    then newline_wordwise bytes (i + 8) len
+    else newline_bytewise bytes i len
+
+let find_newline bytes pos len =
+  if pos < 0 || len > Bytes.length bytes then invalid_arg "Daemon.find_newline";
+  newline_wordwise bytes pos len
+
+let oversized_reply () =
+  P.encode_response
+    (P.Refused
+       {
+         id = None;
+         refusal = P.Bad_request;
+         message = Printf.sprintf "line exceeds %d bytes" max_line;
+         retry_after_ms = None;
+       })
+
+(* Feed freshly read bytes into a connection's line buffer [pending] and
+   serve every complete line; [deliver cookie reply] routes each reply to
+   the connection whose [cookie] asked.  Returns [false] when the
+   connection should close (an over-long line, refused first, or a
+   shutdown that has drained).
 
    Bulk scan: complete lines that arrive in one read are served from a
-   single [Bytes.sub_string] each — the per-character buffer append
-   only runs for a line fragment left dangling at the end of the read
-   (and then as one [add_subbytes]). *)
-let feed server clients client bytes len =
+   single [Bytes.sub_string] each; only a line fragment left dangling at
+   the end of the read is copied into [pending] (as one
+   [add_subbytes]). *)
+let feed server ~cookie ~pending ~deliver bytes len =
   let keep = ref true in
   let pos = ref 0 in
   while !keep && !pos < len do
-    let nl = ref !pos in
-    while !nl < len && Bytes.get bytes !nl <> '\n' do
-      incr nl
-    done;
-    if !nl < len then begin
-      (* A complete line ends at !nl. *)
-      let seg = Bytes.sub_string bytes !pos (!nl - !pos) in
+    let nl = find_newline bytes !pos len in
+    if nl < len then begin
+      (* A complete line ends at nl. *)
+      let seg = Bytes.sub_string bytes !pos (nl - !pos) in
       let line =
-        if Buffer.length client.buf = 0 then seg
+        if Buffer.length pending = 0 then seg
         else begin
-          Buffer.add_string client.buf seg;
-          let l = Buffer.contents client.buf in
-          Buffer.clear client.buf;
+          Buffer.add_string pending seg;
+          let l = Buffer.contents pending in
+          Buffer.clear pending;
           l
         end
       in
-      pos := !nl + 1;
+      pos := nl + 1;
       if String.length line > max_line then begin
-        try_write client
-          (P.encode_response
-             (P.Refused
-                {
-                  id = None;
-                  refusal = P.Bad_request;
-                  message = Printf.sprintf "line exceeds %d bytes" max_line;
-                  retry_after_ms = None;
-                }));
+        deliver cookie (oversized_reply ());
         keep := false
       end
       else begin
-        (match Server.push server ~cookie:client.id line with
-        | `Reply r -> try_write client r
+        (match Server.push server ~cookie line with
+        | `Reply r -> deliver cookie r
         | `Queued -> ());
         (* Drain everything evaluable now — queued work from any
-           client, each response routed to the connection whose cookie
-           asked. *)
+           connection, each response routed to the one that asked. *)
         let rec drain () =
           match Server.step server with
           | None -> ()
-          | Some (cookie, r) ->
-              (match Hashtbl.find_opt clients cookie with
-              | Some c -> try_write c r
-              | None -> () (* asker disconnected; answer drops *));
+          | Some (c, r) ->
+              deliver c r;
               drain ()
         in
-        drain ()
+        drain ();
+        if Server.draining server && Server.pending server = 0 then
+          keep := false
       end
     end
     else begin
       (* No newline in the remainder: stash the fragment. *)
       let rest = len - !pos in
-      if Buffer.length client.buf + rest > max_line then begin
-        try_write client
-          (P.encode_response
-             (P.Refused
-                {
-                  id = None;
-                  refusal = P.Bad_request;
-                  message = Printf.sprintf "line exceeds %d bytes" max_line;
-                  retry_after_ms = None;
-                }));
+      if Buffer.length pending + rest > max_line then begin
+        deliver cookie (oversized_reply ());
         keep := false
       end
-      else Buffer.add_subbytes client.buf bytes !pos rest;
+      else Buffer.add_subbytes pending bytes !pos rest;
       pos := len
     end
   done;
@@ -142,7 +166,12 @@ let run server ~socket =
      O(ready × connections). *)
   let by_fd : (Unix.file_descr, client) Hashtbl.t = Hashtbl.create 16 in
   let next_id = ref 1 in
-  let bytes = Bytes.create 4096 in
+  let deliver cookie reply =
+    match Hashtbl.find_opt clients cookie with
+    | Some c -> try_write c reply
+    | None -> () (* asker disconnected; answer drops *)
+  in
+  let bytes = Bytes.create read_size in
   let finished () = Server.draining server && Server.pending server = 0 in
   (try
      while not (finished ()) do
@@ -178,8 +207,11 @@ let run server ~socket =
                  match Unix.read fd bytes 0 (Bytes.length bytes) with
                  | 0 -> close_client ~by_fd clients client
                  | n ->
-                     if not (feed server clients client bytes n) then
-                       close_client ~by_fd clients client
+                     if
+                       not
+                         (feed server ~cookie:client.id ~pending:client.buf
+                            ~deliver bytes n)
+                     then close_client ~by_fd clients client
                  | exception Unix.Unix_error _ ->
                      close_client ~by_fd clients client))
          readable
@@ -202,24 +234,24 @@ let run server ~socket =
   Log.info (fun m -> m "shutdown complete")
 
 let run_stdio server =
-  let stop = ref false in
-  while not !stop do
-    match input_line stdin with
-    | exception End_of_file -> stop := true
-    | line ->
-        (match Server.push server ~cookie:0 line with
-        | `Reply r -> print_endline r
-        | `Queued -> ());
-        let rec drain () =
-          match Server.step server with
-          | None -> ()
-          | Some (_, r) ->
-              print_endline r;
-              drain ()
-        in
-        drain ();
+  let bytes = Bytes.create read_size in
+  let pending = Buffer.create 256 in
+  let deliver _ reply =
+    print_string reply;
+    print_char '\n'
+  in
+  let rec loop () =
+    match Unix.read Unix.stdin bytes 0 read_size with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+    | 0 ->
+        (* End of input ends a last unterminated line, as [input_line]
+           would. *)
+        if Buffer.length pending > 0 then
+          ignore (feed server ~cookie:0 ~pending ~deliver (Bytes.make 1 '\n') 1 : bool)
+    | n ->
+        let keep = feed server ~cookie:0 ~pending ~deliver bytes n in
         flush stdout;
-        if Server.draining server && Server.pending server = 0 then
-          stop := true
-  done;
+        if keep then loop ()
+  in
+  loop ();
   flush stdout

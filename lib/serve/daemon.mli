@@ -10,9 +10,17 @@
     lost. *)
 
 val max_line : int
-(** Per-connection line-length bound (bytes).  A client exceeding it
-    gets a [Bad_request] refusal and its connection closed — backpressure
-    against a peer that never sends a newline. *)
+(** Per-connection line-length bound (bytes), on both transports.  A
+    client exceeding it gets a [Bad_request] refusal and its connection
+    closed (stdio: the loop stops) — backpressure against a peer that
+    never sends a newline. *)
+
+val find_newline : Bytes.t -> int -> int -> int
+(** [find_newline bytes pos len] is the index of the first ['\n'] in
+    [bytes] from [pos] up to [len] (exclusive), or [len] if none — the
+    line framer's scan, exposed for its byte-loop twin test.  Raises
+    [Invalid_argument] unless [0 <= pos] and [len <= Bytes.length
+    bytes]. *)
 
 val run : Server.t -> socket:string -> unit
 (** Bind [socket] (unlinking a stale file first), accept and serve until
@@ -21,5 +29,7 @@ val run : Server.t -> socket:string -> unit
     itself. *)
 
 val run_stdio : Server.t -> unit
-(** Serve stdin → stdout until EOF or shutdown.  The scripting/test
-    transport — same pipeline, no socket. *)
+(** Serve stdin → stdout until EOF, shutdown or an over-long line.  The
+    scripting/test transport — same pipeline and the same line framer
+    as a socket connection, reading stdin in chunks; at EOF a last
+    unterminated line is served as if it ended in a newline. *)

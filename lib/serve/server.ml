@@ -188,17 +188,25 @@ let pending t = Queue.length t.queue
 
 (* {2 Answer cache — the stale floor} *)
 
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* The key is binary: the synopsis name's length as 8 raw bytes, the
+   name, then each range as two raw 64-bit endpoints.  The length
+   prefix fixes where the ranges start and every range takes 16 bytes,
+   so distinct requests never share a key; building it is a few memory
+   stores per range rather than rendering every endpoint in decimal. *)
 let cache_key ~synopsis ~ranges =
-  let b = Buffer.create (String.length synopsis + 8 * Array.length ranges) in
-  Buffer.add_string b synopsis;
+  let ls = String.length synopsis in
+  let b = Bytes.create (8 + ls + (16 * Array.length ranges)) in
+  set64u b 0 (Int64.of_int ls);
+  Bytes.blit_string synopsis 0 b 8 ls;
   for i = 0 to Array.length ranges - 1 do
     let a, bb = ranges.(i) in
-    Buffer.add_char b '|';
-    P.add_int b a;
-    Buffer.add_char b ',';
-    P.add_int b bb
+    let o = 8 + ls + (16 * i) in
+    set64u b o (Int64.of_int a);
+    set64u b (o + 8) (Int64.of_int bb)
   done;
-  Buffer.contents b
+  Bytes.unsafe_to_string b
 
 let cache_put t key gen estimates =
   Cache.put t.cache key { c_gen = gen; c_estimates = estimates }

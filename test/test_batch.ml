@@ -23,51 +23,53 @@ let check_bits what expect got =
 (* The synopsis bestiary: every representation the serving layer can
    hold — Avg (plain and rounded), SAP0, explicit SAP0, SAP1,
    shared-prefix and two-sided wavelets — over both the paper dataset
-   and a pseudorandom integral one. *)
-let subjects () =
-  let rng = Rng.create 0xBA7C4 in
-  let random_ds =
-    Dataset.of_ints ~name:"batch-rand"
-      (Array.init 193 (fun _ -> Rng.int rng 50))
-  in
-  let built ds =
-    List.map
-      (fun m -> (Dataset.name ds ^ "/" ^ m, ds, Builder.build ds ~method_name:m ~budget_words:24))
-      [
-        "point-opt";
-        "a0";
-        "sap0";
-        "sap1";
-        "opt-a";
-        "opt-a-rounded";
-        "equi-width";
-        "naive";
-        "topbb";
-        "wave-range-opt";
-        "wave-aa";
-      ]
-  in
-  let explicit =
-    (* Sap0_explicit is not reachable through the Builder registry with
-       recoverable averages, so construct one directly. *)
-    let n = Dataset.n random_ds in
-    let bucketing = Bucket.equi_width ~n ~buckets:7 in
-    let b = Bucket.count bucketing in
-    let arr scale = Array.init b (fun k -> scale *. float_of_int (k + 1) /. 3.) in
-    let h =
-      H.make ~name:"explicit" bucketing
-        (H.Sap0_explicit { avg = arr 1.7; suff = arr 0.9; pref = arr 2.3 })
-    in
-    [ ("direct/sap0-explicit", random_ds, S.Histogram h);
-      ( "direct/sap0-explicit-rounded",
-        random_ds,
-        S.Histogram
-          (H.make ~rounded:true ~name:"explicit-rounded" bucketing
-             (H.Sap0_explicit { avg = arr 1.7; suff = arr 0.9; pref = arr 2.3 }))
-      );
-    ]
-  in
-  built (Dataset.paper ()) @ built random_ds @ explicit
+   and a pseudorandom integral one.  Built once (exact OPT-A dominates
+   the suite's time) and shared by every test below. *)
+let subjects =
+  lazy
+    (let rng = Rng.create 0xBA7C4 in
+     let random_ds =
+       Dataset.of_ints ~name:"batch-rand"
+         (Array.init 193 (fun _ -> Rng.int rng 50))
+     in
+     let built ds =
+       List.map
+         (fun m -> (Dataset.name ds ^ "/" ^ m, ds, Builder.build ds ~method_name:m ~budget_words:24))
+         [
+           "point-opt";
+           "a0";
+           "sap0";
+           "sap1";
+           "opt-a";
+           "opt-a-rounded";
+           "equi-width";
+           "naive";
+           "topbb";
+           "wave-range-opt";
+           "wave-aa";
+         ]
+     in
+     let explicit =
+       (* Sap0_explicit is not reachable through the Builder registry with
+          recoverable averages, so construct one directly. *)
+       let n = Dataset.n random_ds in
+       let bucketing = Bucket.equi_width ~n ~buckets:7 in
+       let b = Bucket.count bucketing in
+       let arr scale = Array.init b (fun k -> scale *. float_of_int (k + 1) /. 3.) in
+       let h =
+         H.make ~name:"explicit" bucketing
+           (H.Sap0_explicit { avg = arr 1.7; suff = arr 0.9; pref = arr 2.3 })
+       in
+       [ ("direct/sap0-explicit", random_ds, S.Histogram h);
+         ( "direct/sap0-explicit-rounded",
+           random_ds,
+           S.Histogram
+             (H.make ~rounded:true ~name:"explicit-rounded" bucketing
+                (H.Sap0_explicit { avg = arr 1.7; suff = arr 0.9; pref = arr 2.3 }))
+         );
+       ]
+     in
+     built (Dataset.paper ()) @ built random_ds @ explicit)
 
 let twin_sweep () =
   let workloads = ref 0 in
@@ -131,7 +133,7 @@ let twin_sweep () =
           else if not (Float.is_nan out.(i)) then
             Alcotest.failf "%s: sub-span eval wrote outside [3,5]" label)
         ranges)
-    (subjects ());
+    (Lazy.force subjects);
   if !workloads < 500 then
     Alcotest.failf "only %d twin workloads ran (need >= 500)" !workloads
 
@@ -162,7 +164,7 @@ let prefix_twins () =
                   (Batch.eval_prefix_one ~prefix ~a ~b))
               ranges
           done)
-    (subjects ())
+    (Lazy.force subjects)
 
 let rejects () =
   let ds = Dataset.paper () in

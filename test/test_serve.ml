@@ -15,6 +15,7 @@ module P = Rs_serve.Protocol
 module Server = Rs_serve.Server
 module Generation = Rs_serve.Generation
 module Chaos = Rs_serve.Chaos
+module Daemon = Rs_serve.Daemon
 open Helpers
 
 let tmp_path suffix =
@@ -1337,6 +1338,47 @@ let test_bound_answers_never_cached () =
   Alcotest.(check bool) "stale" true (s.rung = P.Stale);
   check_floats "stale replays the exact answer" a.estimates s.estimates
 
+let test_stale_floor_keys () =
+  (* The stale floor replays an answer only for the very request that
+     cached it: one endpoint moved, one range fewer or another synopsis
+     name is a different key, and must find the floor cold. *)
+  with_tmp_dir @@ fun dir ->
+  let (_ : Store.t) = make_store dir in
+  with_server ~dataset:paper dir @@ fun server ->
+  let ranges = many_ranges 192 in
+  let ask ?poll_budget synopsis ranges =
+    Server.handle_line server (query ?poll_budget ~synopsis ranges)
+  in
+  let expect_cold what line =
+    let r = expect_refusal line in
+    Alcotest.(check bool) (what ^ ": no cached answer") true (r.refusal = P.Deadline)
+  in
+  let exact = expect_answers (ask "opta" ranges) in
+  Alcotest.(check bool) "exact" true (exact.rung = P.Exact);
+  let replay = expect_answers (ask ~poll_budget:2 "opta" ranges) in
+  Alcotest.(check bool) "repeat -> stale" true (replay.rung = P.Stale);
+  check_floats "stale replays the cached exact answer" exact.estimates replay.estimates;
+  let move i f = List.mapi (fun j r -> if j = i then f r else r) ranges in
+  List.iter
+    (fun (what, moved) -> expect_cold what (ask ~poll_budget:2 "opta" moved))
+    [
+      ("first a + 1", move 0 (fun (a, b) -> (a + 1, b + 1)));
+      ("first b + 1", move 0 (fun (a, b) -> (a, b + 1)));
+      ("middle a - 1", move 95 (fun (a, b) -> (a - 1, b)));
+      ("last b - 1", move 191 (fun (a, b) -> (a, b - 1)));
+      ("one range fewer", List.filteri (fun j _ -> j < 191) ranges);
+    ];
+  List.iter
+    (fun name ->
+      expect_cold ("synopsis " ^ name) (ask ~poll_budget:2 name ranges);
+      let own = expect_answers (ask name ranges) in
+      let again = expect_answers (ask ~poll_budget:2 name ranges) in
+      Alcotest.(check bool) (name ^ ": repeat -> stale") true (again.rung = P.Stale);
+      check_floats (name ^ ": replays its own answer") own.estimates again.estimates)
+    [ "sap1"; "wave" ];
+  let last = expect_answers (ask ~poll_budget:2 "opta" ranges) in
+  check_floats "opta still replays its own answer" exact.estimates last.estimates
+
 let test_budget_refusal_renders_polls () =
   with_tmp_dir @@ fun dir ->
   let (_ : Store.t) = make_store dir in
@@ -1793,9 +1835,14 @@ let read_lines sock wanted =
     count_newlines (Buffer.contents acc) < wanted
     && Unix.gettimeofday () < deadline
   do
-    match Unix.read sock buf 0 (Bytes.length buf) with
-    | 0 -> Alcotest.fail "daemon closed the connection early"
-    | k -> Buffer.add_subbytes acc buf 0 k
+    (* wait no longer than the deadline: a daemon that never answers
+       fails the test instead of hanging it *)
+    match Unix.select [ sock ] [] [] (Float.max 0. (deadline -. Unix.gettimeofday ())) with
+    | [], _, _ -> ()
+    | _ -> (
+        match Unix.read sock buf 0 (Bytes.length buf) with
+        | 0 -> Alcotest.fail "daemon closed the connection early"
+        | k -> Buffer.add_subbytes acc buf 0 k)
   done;
   String.split_on_char '\n' (Buffer.contents acc)
   |> List.filter (fun s -> s <> "")
@@ -1915,6 +1962,149 @@ let test_daemon_multiclient () =
     Alcotest.(check (list string))
       "shutdown acked" [ "{\"ok\":true,\"op\":\"shutdown\"}" ] ack
 
+(* --- Line framing ------------------------------------------------------ *)
+
+let test_find_newline_twin () =
+  (* The word-at-a-time newline scan against the plain byte loop: every
+     offset and length up to 80, a hit at every position (or none), with
+     0x0a, 0x0b, 0x8a and 0xff next to it, and a newline just past the
+     window that must never be found. *)
+  let plain b pos len =
+    let i = ref pos in
+    while !i < len && Bytes.get b !i <> '\n' do
+      incr i
+    done;
+    !i
+  in
+  let size = 96 in
+  let neighbours = [ '\n'; '\x0b'; '\x8a'; '\xff' ] in
+  List.iter
+    (fun fill ->
+      List.iter
+        (fun near ->
+          for len = 0 to 80 do
+            for pos = 0 to len do
+              for hit = pos - 1 to len - 1 do
+                let b = Bytes.make size fill in
+                Bytes.set b len '\n';
+                if hit >= pos then begin
+                  if hit > 0 then Bytes.set b (hit - 1) near;
+                  Bytes.set b hit '\n';
+                  if hit + 1 < len then Bytes.set b (hit + 1) near
+                end;
+                let want = plain b pos len and got = Daemon.find_newline b pos len in
+                if got <> want then
+                  Alcotest.failf "fill %C, near %C, pos %d, len %d, hit %d: %d, byte loop %d"
+                    fill near pos len hit got want
+              done
+            done
+          done)
+        neighbours)
+    [ 'a'; '\x0b'; '\x8a'; '\xff' ];
+  List.iter
+    (fun (pos, len) ->
+      match Daemon.find_newline (Bytes.make 8 'a') pos len with
+      | exception Invalid_argument _ -> ()
+      | i -> Alcotest.failf "pos %d, len %d: answered %d" pos len i)
+    [ (-1, 4); (0, 9) ]
+
+let test_daemon_split_reads () =
+  (* Two k = 192 queries written in two pieces, split at every byte of
+     a 64-byte window around the first line's newline: each reply must
+     be byte-equal to the in-process answer. *)
+  if not (Sys.file_exists served_exe) then Alcotest.skip ()
+  else
+    with_tmp_dir @@ fun dir ->
+    let (_ : Store.t) = make_store dir in
+    let lines =
+      [
+        query ~id:"w1" ~synopsis:"opta" (many_ranges 192);
+        query ~id:"w2" ~synopsis:"wave" (List.rev (many_ranges 192));
+      ]
+    in
+    let want =
+      with_server ~dataset:paper dir @@ fun server ->
+      List.map (Server.handle_line server) lines
+    in
+    let payload = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+    let nl = String.index payload '\n' in
+    let socket = Filename.concat dir "serve.sock" in
+    let pid = spawn_daemon dir socket in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    @@ fun () ->
+    let sock = connect_retry socket 100 in
+    Fun.protect ~finally:(fun () -> Unix.close sock) @@ fun () ->
+    let write s =
+      let off = ref 0 in
+      while !off < String.length s do
+        off := !off + Unix.write_substring sock s !off (String.length s - !off)
+      done
+    in
+    for cut = nl - 31 to nl + 32 do
+      write (String.sub payload 0 cut);
+      (* let the daemon read the first piece on its own *)
+      Unix.sleepf 0.002;
+      write (String.sub payload cut (String.length payload - cut));
+      let got = read_lines sock 2 in
+      Alcotest.(check (list string)) (Printf.sprintf "split at %d" cut) want got
+    done
+
+let run_stdio_daemon dir input =
+  (* rs_served --stdio with [input] as its whole stdin; its stdout *)
+  let path name = Filename.concat dir name in
+  let oc = open_out_bin (path "stdin") in
+  output_string oc input;
+  close_out oc;
+  let fd_in = Unix.openfile (path "stdin") [ Unix.O_RDONLY ] 0 in
+  let fd_out =
+    Unix.openfile (path "stdout") [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let pid =
+    Unix.create_process served_exe
+      [| served_exe; "--store"; dir; "--data"; "paper"; "--stdio" |]
+      fd_in fd_out Unix.stderr
+  in
+  Unix.close fd_in;
+  Unix.close fd_out;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "rs_served --stdio did not exit 0");
+  let ic = open_in_bin (path "stdout") in
+  let out = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  String.split_on_char '\n' out |> List.filter (fun l -> l <> "")
+
+let test_stdio_line_bound () =
+  (* stdio frames lines like a socket connection: normal lines are
+     answered, a line past max_line is refused bad_request and ends the
+     session, so the line after it goes unanswered. *)
+  if not (Sys.file_exists served_exe) then Alcotest.skip ()
+  else
+    with_tmp_dir @@ fun dir ->
+    let (_ : Store.t) = make_store dir in
+    let ping = P.encode_request P.Ping in
+    let q = query ~id:"s1" ~synopsis:"opta" (many_ranges 192) in
+    let want_q = with_server ~dataset:paper dir @@ fun server -> Server.handle_line server q in
+    let ack = "{\"ok\":true,\"op\":\"ping\"}" in
+    let oversized = ping ^ String.make 100_000 ' ' in
+    (match run_stdio_daemon dir (String.concat "\n" [ ping; q; oversized; ping ] ^ "\n") with
+    | [ a; b; refused ] ->
+        Alcotest.(check string) "ping answered" ack a;
+        Alcotest.(check string) "query answered" want_q b;
+        let r = expect_refusal refused in
+        Alcotest.(check bool) "oversized -> bad_request" true (r.refusal = P.Bad_request);
+        Alcotest.(check string) "message"
+          (Printf.sprintf "line exceeds %d bytes" Daemon.max_line)
+          r.message
+    | got -> Alcotest.failf "expected 3 replies, got %d" (List.length got));
+    (* an unterminated last line is served at end of input *)
+    Alcotest.(check (list string))
+      "last line without newline" [ ack; want_q ]
+      (run_stdio_daemon dir (ping ^ "\n" ^ q))
+
 (* --- The chaos soak ---------------------------------------------------- *)
 
 let run_soak ~jobs ~seed =
@@ -2006,6 +2196,8 @@ let () =
           Alcotest.test_case "wall-clock deadline" `Quick test_wall_clock_deadline;
           Alcotest.test_case "unknown synopsis, bad ranges" `Quick
             test_unknown_and_bad_ranges;
+          Alcotest.test_case "stale floor keys on the whole request" `Quick
+            test_stale_floor_keys;
         ] );
       ( "overload",
         [ Alcotest.test_case "queue sheds with backoff hints" `Quick test_queue_shedding ] );
@@ -2062,5 +2254,13 @@ let () =
             test_chaos_soak_multiclient;
           Alcotest.test_case "bound rung reached" `Quick
             test_chaos_bound_rung_reached;
+        ] );
+      ( "framing",
+        [
+          Alcotest.test_case "newline scan vs byte loop" `Quick test_find_newline_twin;
+          Alcotest.test_case "socket reads split around a line end" `Quick
+            test_daemon_split_reads;
+          Alcotest.test_case "stdio bounds lines like a socket" `Quick
+            test_stdio_line_bound;
         ] );
     ]
