@@ -123,9 +123,13 @@ let expect cur key =
   if k <> key then fail no "expected %S, got %S" key k;
   (no, v)
 
+(* Every float in a synopsis file is an answering value (averages,
+   suffix/prefix sums, fits, coefficients): a NaN or infinity would
+   turn estimates into NaN, so it is corruption even under a valid CRC. *)
 let parse_float no s =
   match float_of_string_opt s with
-  | Some v -> v
+  | Some v when Float.is_finite v -> v
+  | Some _ -> fail no "non-finite value: %S" s
   | None -> fail no "not a float: %S" s
 
 let parse_int no s =

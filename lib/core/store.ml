@@ -27,8 +27,11 @@ type t = {
 }
 (* entries: (name, CRC-32 hex of the entry file's bytes), sorted by name. *)
 
+type verified = { bytes : string; synopsis : Synopsis.t }
+
 type fsck_report = {
   ok : string list;
+  verified : (string * verified) list;
   quarantined : (string * string) list;
   removed_tmp : string list;
   manifest_rebuilt : bool;
@@ -464,7 +467,7 @@ let wal_compact t ~keep =
 let wal_remove t =
   try Sys.remove (wal_path t) with Sys_error _ -> ()
 
-let fsck t =
+let fsck ?(reuse = fun _ _ -> None) t =
   Trace.with_span "store.fsck" @@ fun () ->
   Metrics.count "store.fscks" 1;
   let files = try Sys.readdir t.dir with Sys_error _ -> [||] in
@@ -490,14 +493,24 @@ let fsck t =
                 quarantined := (name, "unreadable: " ^ reason) :: !quarantined;
                 dirty := true
             | content -> (
-                match Codec.decode_result content with
-                | Ok _ -> disk := (name, Crc32.digest content) :: !disk
+                let decoded =
+                  match reuse name content with
+                  | Some synopsis -> Ok synopsis
+                  | None -> Codec.decode_result content
+                in
+                match decoded with
+                | Ok synopsis ->
+                    disk :=
+                      (name, Crc32.digest content, { bytes = content; synopsis })
+                      :: !disk
                 | Error e ->
                     quarantine t file;
                     quarantined := (name, Error.to_string e) :: !quarantined;
                     dirty := true)))
     files;
-  let disk = List.sort (fun (a, _) (b, _) -> String.compare a b) !disk in
+  let disk = List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !disk in
+  let verified = List.map (fun (name, _, v) -> (name, v)) disk in
+  let disk = List.map (fun (name, crc, _) -> (name, crc)) disk in
   (* Manifest entries whose file vanished (or was just quarantined). *)
   List.iter
     (fun (name, _) ->
@@ -517,6 +530,7 @@ let fsck t =
   end;
   {
     ok = List.map fst disk;
+    verified;
     quarantined = List.rev !quarantined;
     removed_tmp = List.rev !removed_tmp;
     manifest_rebuilt = !dirty;

@@ -25,8 +25,17 @@
 
 type t
 
+type verified = {
+  bytes : string;  (** the entry file's bytes, as read and verified *)
+  synopsis : Synopsis.t;  (** what [bytes] decode to *)
+}
+
 type fsck_report = {
   ok : string list;  (** entries that decode and match the manifest *)
+  verified : (string * verified) list;
+      (** the [ok] entries, in the same order, with the bytes fsck read
+          and the synopsis they decode to — a caller that serves the
+          store needs no second read or decode *)
   quarantined : (string * string) list;
       (** [(name, reason)] — corrupt/unreadable entries moved to
           [quarantine/], or manifest entries missing on disk *)
@@ -153,8 +162,12 @@ val wal_reserve_seq : t -> int -> unit
 val wal_remove : t -> unit
 (** Delete the log entirely (no-op when absent). *)
 
-val fsck : t -> fsck_report
+val fsck :
+  ?reuse:(string -> string -> Synopsis.t option) -> t -> fsck_report
 (** Repair pass: delete stray [*.tmp] files, quarantine entries that
     fail to decode, drop manifest entries whose files vanished, adopt
     valid files the manifest missed, and rewrite the manifest when
-    anything changed. *)
+    anything changed.  Each entry file is read and decoded once.
+    [reuse name bytes] may return a synopsis that was decoded earlier
+    from exactly [bytes] (compared in full, never by checksum); fsck
+    then takes it instead of decoding the same bytes again. *)

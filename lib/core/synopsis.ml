@@ -39,27 +39,42 @@ let quantile t ~q =
 (* Full-SSE evaluation prefers the O(n) closed forms whenever the
    synopsis lowers to one; the O(n²) sweep remains only for rounded
    histograms (Opaque).  [sse_sweep] is the brute-force twin the test
-   suite checks the fast paths against. *)
-let sse ds t =
-  let p = Dataset.prefix ds in
-  match t with
-  | Histogram h -> (
-      match H.lowering h with
-      | H.Prefix_form d -> Error.sse_prefix_form p d
-      | H.Piecewise_form { right; left; windows } ->
-          Error.sse_piecewise_form p ~right ~left ~buckets:windows
-      | H.Opaque -> Error.sse_all_ranges p (estimator t))
-  | Wavelet w when W.shared_prefix w -> Error.sse_prefix_form p (W.prefix_hat w)
+   suite checks the fast paths against.  One lowering pass serves both
+   the SSE and the prefix vector ([prefix_and_sse]). *)
+type lowered =
+  | Lowered of H.lowering  (* a shared-prefix wavelet lowers to [Prefix_form] *)
+  | Two_sided of { right : float array; left : float array }
+
+let lower = function
+  | Histogram h -> Lowered (H.lowering h)
   | Wavelet w -> (
       match W.prefix_hat_left w with
-      | Some left -> Error.sse_two_sided_form p ~right:(W.prefix_hat w) ~left
-      | None -> Error.sse_all_ranges p (estimator t))
+      | None -> Lowered (H.Prefix_form (W.prefix_hat w))
+      | Some left -> Two_sided { right = W.prefix_hat w; left })
+
+let sse_lowered ds t lowered =
+  let p = Dataset.prefix ds in
+  match lowered with
+  | Lowered (H.Prefix_form d) -> Error.sse_prefix_form p d
+  | Lowered (H.Piecewise_form { right; left; windows }) ->
+      Error.sse_piecewise_form p ~right ~left ~buckets:windows
+  | Lowered H.Opaque -> Error.sse_all_ranges p (estimator t)
+  | Two_sided { right; left } -> Error.sse_two_sided_form p ~right ~left
+
+let sse ds t = sse_lowered ds t (lower t)
 
 let sse_sweep ds t = Error.sse_all_ranges (Dataset.prefix ds) (estimator t)
 
-let prefix_vector = function
-  | Histogram h -> H.prefix_vector h
-  | Wavelet w -> if W.shared_prefix w then Some (W.prefix_hat w) else None
+let prefix_and_sse ?dataset t =
+  let lowered = lower t in
+  let prefix =
+    match lowered with
+    | Lowered (H.Prefix_form d) -> Some d
+    | Lowered (H.Piecewise_form _ | H.Opaque) | Two_sided _ -> None
+  in
+  (prefix, Option.map (fun ds -> sse_lowered ds t lowered) dataset)
+
+let prefix_vector t = fst (prefix_and_sse t)
 
 (* Compile the synopsis into a Batch plan.  The plan's tables are the
    synopsis' own answering state (bit-exact copies), and the Batch
@@ -77,7 +92,7 @@ let batch_plan t =
       let bk = H.bucketing h in
       let n = Bucket.n bk in
       let buckets = Bucket.count bk in
-      let index = Array.init n (fun i -> Bucket.bucket_of bk (i + 1)) in
+      let index = Bucket.positions bk in
       let bucket_lo = Array.init buckets (fun k -> fst (Bucket.bounds bk k)) in
       let bucket_hi = Array.init buckets (fun k -> snd (Bucket.bounds bk k)) in
       let ends =

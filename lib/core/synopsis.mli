@@ -53,6 +53,12 @@ val prefix_vector : t -> float array option
 (** [Some Ĉ] when every answer is [Ĉ[b] − Ĉ[a−1]]: [Avg]-representation
     non-rounded histograms and shared-prefix wavelet synopses. *)
 
+val prefix_and_sse :
+  ?dataset:Dataset.t -> t -> float array option * float option
+(** [(prefix_vector t, Option.map (fun ds -> sse ds t) dataset)] from
+    one lowering pass — what a serving generation needs per entry.  The
+    dataset must have the synopsis' domain size. *)
+
 val batch_plan : t -> Rs_query.Batch.t
 (** Compile the synopsis into a vectorized batch-evaluation plan.
     O(n) once; the plan's answers are bit-identical to {!estimate}'s

@@ -53,6 +53,7 @@ let bucket_of t i =
   let i = Checks.in_range ~name:"Bucket.bucket_of" ~lo:1 ~hi:t.n i in
   t.index.(i - 1)
 
+let positions t = Array.copy t.index
 let left t i = fst (bounds t (bucket_of t i))
 let right t i = snd (bounds t (bucket_of t i))
 let rights t = Array.copy t.rights

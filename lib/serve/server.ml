@@ -480,7 +480,7 @@ let reload t =
           Faults.trip "serve.reload";
           let gen_id = t.next_gen_id in
           Error.get
-            (Generation.load ?dataset:t.config.dataset ~gen_id
+            (Generation.load ?dataset:t.config.dataset ~previous:t.gen ~gen_id
                t.config.store_dir))
     with
     | Ok gen ->
@@ -495,8 +495,10 @@ let reload t =
         mirror_staleness t.config t.gen t.stream;
         Metrics.set g_generation (float_of_int gen.Generation.gen_id);
         Log.info (fun m ->
-            m "reloaded: generation %d, %d entries, %d quarantined"
+            m "reloaded: generation %d, %d entries (%d reused, %d decoded), \
+               %d quarantined"
               gen.Generation.gen_id (Generation.size gen)
+              gen.Generation.reused gen.Generation.decoded
               (List.length gen.Generation.quarantined));
         P.Reloaded
           {

@@ -137,7 +137,10 @@ val log_src : Logs.src
 val reload : t -> string
 (** Hot-reload the store generation and return the response line:
     open-new → fsck → decode → atomic swap (a single coordinator
-    assignment — readers never observe a half-built generation).  Any
+    assignment — readers never observe a half-built generation).  Only
+    changed entries are decoded: an entry whose file is byte-equal to
+    the serving generation's is reused ({!Generation.load}
+    [~previous]), and the [reloaded] line on {!log_src} counts both.  Any
     failure — OS refusal, injected ["serve.reload"] fault — leaves the
     old generation serving and returns a typed [Corrupt_store] /
     [Injected] refusal.  Corrupt {e entries} are not failures: fsck

@@ -74,12 +74,17 @@ let geometry ~n ~index =
   let lo = k * block in
   (lo, lo + (block / 2), lo + block, sqrt (float_of_int (1 lsl j) /. float_of_int n))
 
-let check_args ~name ~n ~index =
+let check_args ~name ~index_name ~n ~index =
   check_pow2 ~name n;
-  ignore (Checks.in_range ~name:(name ^ " index") ~lo:0 ~hi:(n - 1) index)
+  ignore (Checks.in_range ~name:index_name ~lo:0 ~hi:(n - 1) index)
+
+let support ~n ~index =
+  check_args ~name:"Haar.support" ~index_name:"Haar.support index" ~n ~index;
+  if index = 0 then invalid_arg "Haar.support: index 0 is the scaling coefficient"
+  else geometry ~n ~index
 
 let psi ~n ~index ~pos =
-  check_args ~name:"Haar.psi" ~n ~index;
+  check_args ~name:"Haar.psi" ~index_name:"Haar.psi index" ~n ~index;
   ignore (Checks.in_range ~name:"Haar.psi pos" ~lo:0 ~hi:(n - 1) pos);
   if index = 0 then 1. /. sqrt (float_of_int n)
   else begin
@@ -88,7 +93,7 @@ let psi ~n ~index ~pos =
   end
 
 let psi_prefix ~n ~index ~upto =
-  check_args ~name:"Haar.psi_prefix" ~n ~index;
+  check_args ~name:"Haar.psi_prefix" ~index_name:"Haar.psi_prefix index" ~n ~index;
   ignore (Checks.in_range ~name:"Haar.psi_prefix upto" ~lo:(-1) ~hi:(n - 1) upto);
   if upto < 0 then 0.
   else if index = 0 then float_of_int (upto + 1) /. sqrt (float_of_int n)

@@ -35,6 +35,13 @@ val psi : n:int -> index:int -> pos:int -> float
 val psi_prefix : n:int -> index:int -> upto:int -> float
 (** [Σ_{t=0}^{upto} ψ_index(t)]; [upto = −1] gives [0.].  O(1). *)
 
+val support : n:int -> index:int -> int * int * int * float
+(** [(lo, mid, hi, v)] for detail index [1 ≤ index < n]: [ψ_index] is
+    [+v] on [\[lo, mid)], [−v] on [\[mid, hi)] and zero elsewhere —
+    the geometry {!psi} and {!psi_prefix} evaluate, validated once so
+    a caller can evaluate every position of one coefficient without
+    re-checking it. *)
+
 val basis : n:int -> index:int -> float array
 (** Materialized basis vector (test/debug helper). *)
 

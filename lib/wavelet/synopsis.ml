@@ -38,6 +38,77 @@ let storage_words t =
   * (Array.length t.coeffs
     + match t.coeffs_left with None -> 0 | Some l -> Array.length l)
 
+(* Reconstruction, one coefficient at a time.  [add_prefix_terms] adds
+   c·I_k(t−1) (the prefix integral {!Haar.psi_prefix}) to out.(t) and
+   [add_point_terms] adds c·ψ_k(t) ({!Haar.psi}), for every t below
+   [Array.length out].  Each product is the one those functions give,
+   but the support geometry, its checks and √padded are worked out once
+   per coefficient instead of once per position, and the position loop
+   splits at the support boundaries instead of branching.  out.(t) still
+   starts at 0. and takes its terms in coefficient order — zero terms
+   (c·0.) included — so the result is bit-identical to the per-position
+   fold (pinned against it in test_wavelet.ml). *)
+let add_zero_terms out ~c ~lo ~hi =
+  let zero = c *. 0. in
+  for t = max 0 lo to min (Array.length out) hi - 1 do
+    out.(t) <- out.(t) +. zero
+  done
+
+let add_prefix_terms out ~padded (index, c) =
+  let len = Array.length out in
+  if index = 0 then begin
+    let s = sqrt (float_of_int padded) in
+    add_zero_terms out ~c ~lo:0 ~hi:1;
+    for t = 1 to len - 1 do
+      out.(t) <- out.(t) +. (c *. (float_of_int t /. s))
+    done
+  end
+  else begin
+    let lo, mid, hi, v = Haar.support ~n:padded ~index in
+    add_zero_terms out ~c ~lo:0 ~hi:(lo + 1);
+    for t = lo + 1 to min len (mid + 1) - 1 do
+      out.(t) <- out.(t) +. (c *. (v *. float_of_int (t - lo)))
+    done;
+    for t = mid + 1 to min len hi - 1 do
+      out.(t) <- out.(t) +. (c *. (v *. float_of_int (hi - t)))
+    done;
+    add_zero_terms out ~c ~lo:hi ~hi:len
+  end
+
+let add_point_terms out ~padded (index, c) =
+  let len = Array.length out in
+  if index = 0 then begin
+    let term = c *. (1. /. sqrt (float_of_int padded)) in
+    for t = 0 to len - 1 do
+      out.(t) <- out.(t) +. term
+    done
+  end
+  else begin
+    let lo, mid, hi, v = Haar.support ~n:padded ~index in
+    let pos = c *. v and neg = c *. -.v in
+    add_zero_terms out ~c ~lo:0 ~hi:lo;
+    for t = lo to min len mid - 1 do
+      out.(t) <- out.(t) +. pos
+    done;
+    for t = mid to min len hi - 1 do
+      out.(t) <- out.(t) +. neg
+    done;
+    add_zero_terms out ~c ~lo:hi ~hi:len
+  end
+
+(* The length-(n+1) sum of [add] over the coefficients, in order. *)
+let reconstruct ~n ~padded add coeffs =
+  Checks.check (Haar.is_pow2 padded)
+    "Synopsis: transform length must be a positive power of two";
+  let out = Array.make (n + 1) 0. in
+  Array.iter (add out ~padded) coeffs;
+  out
+
+let shift ~base v =
+  for t = 0 to Array.length v - 1 do
+    v.(t) <- v.(t) -. base
+  done
+
 (* D̂ induced by the coefficient set.
    Data domain: D̂[t] = Σ_k c_k·I_k(t−1) with I_k the prefix integral of
    ψ_k over data positions (0-based).
@@ -45,30 +116,22 @@ let storage_words t =
    D̂[0] = 0 (drops the immaterial constant component). *)
 let induced_prefix ~domain ~n ~padded coeffs =
   match domain with
-  | Data ->
-      Array.init (n + 1) (fun t ->
-          Array.fold_left
-            (fun acc (index, c) ->
-              acc +. (c *. Haar.psi_prefix ~n:padded ~index ~upto:(t - 1)))
-            0. coeffs)
+  | Data -> reconstruct ~n ~padded add_prefix_terms coeffs
   | Prefix_sums ->
-      let raw =
-        Array.init (n + 1) (fun t ->
-            Haar.reconstruct_point ~n:padded ~coeffs ~pos:t)
-      in
-      let base = raw.(0) in
-      Array.map (fun v -> v -. base) raw
+      let d = reconstruct ~n ~padded add_point_terms coeffs in
+      shift ~base:d.(0) d;
+      d
 
 (* Reconstruct the two endpoint prefix vectors of a two-sided synopsis,
    shifted by a COMMON constant so the difference f(b) − g(a−1) is
    unchanged but the vectors are anchored like the shared-prefix ones. *)
 let two_sided_prefixes ~n ~padded right left =
-  let reconstruct coeffs =
-    Array.init (n + 1) (fun t -> Haar.reconstruct_point ~n:padded ~coeffs ~pos:t)
-  in
-  let f = reconstruct right and g = reconstruct left in
+  let f = reconstruct ~n ~padded add_point_terms right in
+  let g = reconstruct ~n ~padded add_point_terms left in
   let base = f.(0) in
-  (Array.map (fun v -> v -. base) f, Array.map (fun v -> v -. base) g)
+  shift ~base f;
+  shift ~base g;
+  (f, g)
 
 let make ~domain ~n ~padded ~name coeffs =
   let coeffs = Array.copy coeffs in

@@ -428,6 +428,71 @@ let test_codec_corruption_fuzzer () =
   Alcotest.(check int) "wrong error class" 0 !wrong_class;
   Alcotest.(check int) "undetected corruption" 0 !silent
 
+(* A CRC-valid file whose answering values hold a NaN or an infinity
+   is still corrupt: the decode names the line, so fsck quarantines the
+   entry instead of serving NaN estimates. *)
+let reframe_v2 lines =
+  let body = String.concat "\n" (List.filteri (fun i _ -> i >= 2) lines) in
+  Printf.sprintf "range-synopsis 2\ncrc %s\n%s" (Rs_util.Crc32.digest body) body
+
+(* Replace the first value on the line keyed [key] with [bad]. *)
+let poison_line ~key ~bad str =
+  let lines = String.split_on_char '\n' str in
+  let hit = ref 0 in
+  let lines =
+    List.mapi
+      (fun i l ->
+        match String.split_on_char ' ' l with
+        | k :: first :: rest when k = key && !hit = 0 ->
+            hit := i + 1;
+            let first =
+              match String.index_opt first ':' with
+              | Some c -> String.sub first 0 (c + 1) ^ bad
+              | None -> bad
+            in
+            String.concat " " (k :: first :: rest)
+        | _ -> l)
+      lines
+  in
+  if !hit = 0 then Alcotest.failf "no %S line" key;
+  (reframe_v2 lines, !hit)
+
+let test_codec_refuses_non_finite () =
+  let data = [| 3.; 1.; 4.; 1.; 5.; 9.; 2.; 6. |] in
+  let cases =
+    [
+      (synopsis_of_method "equi-width" data, [ "values" ]);
+      (synopsis_of_method "sap0" data, [ "suff"; "pref" ]);
+      ( synopsis_of_method "sap1" data,
+        [ "suff_slope"; "suff_icept"; "suff_rss"; "pref_slope"; "pref_icept"; "pref_rss" ] );
+      (Synopsis.Wavelet (W.top_b_data data ~b:3), [ "coeffs" ]);
+      (Synopsis.Wavelet (W.range_optimal data ~b:3), [ "coeffs" ]);
+      (Synopsis.Wavelet (W.aa_2d data ~b:4), [ "coeffs"; "left" ]);
+    ]
+  in
+  List.iter
+    (fun (s, keys) ->
+      let str = Codec.to_string s in
+      (* the reframing itself is faithful *)
+      (match Codec.decode_result (reframe_v2 (String.split_on_char '\n' str)) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "reframed original: %s" (Error.to_string e));
+      List.iter
+        (fun key ->
+          List.iter
+            (fun bad ->
+              let mutant, line = poison_line ~key ~bad str in
+              match Codec.decode_result mutant with
+              | Error (Error.Corrupt_synopsis { line = l; reason }) ->
+                  Alcotest.(check int) (key ^ " " ^ bad ^ " line") line l;
+                  Alcotest.(check bool)
+                    (key ^ " " ^ bad ^ " reason") true
+                    (Helpers.contains reason "non-finite")
+              | r -> expect_corrupt (key ^ " " ^ bad) r)
+            [ "nan"; "inf"; "-inf"; "infinity"; "-nan" ])
+        keys)
+    cases
+
 let test_codec_fault_seams () =
   let s = Lazy.force base_synopsis in
   Faults.with_faults [ "codec.decode" ] (fun () ->
@@ -643,6 +708,8 @@ let () =
             Alcotest.test_case "corruption fuzzer" `Quick
               test_codec_corruption_fuzzer;
             Alcotest.test_case "fault seams" `Quick test_codec_fault_seams;
+            Alcotest.test_case "refuses non-finite values" `Quick
+              test_codec_refuses_non_finite;
           ] );
       ( "ladder",
         [

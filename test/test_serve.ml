@@ -1544,6 +1544,203 @@ let test_reload_failure_keeps_old_generation () =
   let a = expect_answers (Server.handle_line server (query ~synopsis:"opta" [ (1, 5) ])) in
   Alcotest.(check int) "old generation keeps serving" 1 a.generation
 
+(* --- Reload reuse: only byte-equal entries carry over ----------------- *)
+
+let reload_counts server =
+  match decode (Server.handle_line server (P.encode_request P.Reload)) with
+  | P.Reloaded { entries; quarantined; _ } ->
+      let g = Server.generation server in
+      (entries, quarantined, g.Generation.reused, g.Generation.decoded)
+  | _ -> Alcotest.fail "reload failed"
+
+let read_entry dir name =
+  let ic = open_in_bin (Filename.concat dir (name ^ ".rs")) in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_entry dir name bytes =
+  let oc = open_out_bin (Filename.concat dir (name ^ ".rs")) in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc bytes)
+
+let test_reload_reuses_untouched_entries () =
+  with_tmp_dir @@ fun dir ->
+  let (_ : Store.t) = make_store dir in
+  with_server ~dataset:paper dir @@ fun server ->
+  let g1 = Server.generation server in
+  Alcotest.(check (pair int int)) "cold start decodes all" (0, 3)
+    (g1.Generation.reused, g1.Generation.decoded);
+  Generation.mark_staleness g1 ~name:"opta" ~dirty:5. ~stale:true;
+  let before = expect_answers (Server.handle_line server (query ~synopsis:"wave" (many_ranges 70))) in
+  Alcotest.(check (pair int int)) "unchanged store: all reused" (3, 0)
+    (let _, _, r, d = reload_counts server in (r, d));
+  let g2 = Server.generation server in
+  List.iter
+    (fun name ->
+      let e1 = Option.get (Generation.find g1 name)
+      and e2 = Option.get (Generation.find g2 name) in
+      Alcotest.(check bool) (name ^ ": plan physically reused") true
+        (e1.Generation.plan == e2.Generation.plan);
+      Alcotest.(check bool) (name ^ ": synopsis physically reused") true
+        (e1.Generation.syn == e2.Generation.syn);
+      Alcotest.(check bool) (name ^ ": bound reused") true
+        (e1.Generation.rmse_bound == e2.Generation.rmse_bound);
+      Alcotest.(check bool) (name ^ ": a fresh entry record") true (e1 != e2))
+    [ "opta"; "sap1"; "wave" ];
+  let opta2 = Option.get (Generation.find g2 "opta") in
+  Alcotest.(check bool) "staleness is per generation" false opta2.Generation.stale;
+  Alcotest.(check bool) "old generation keeps its own staleness" true
+    (Option.get (Generation.find g1 "opta")).Generation.stale;
+  let after = expect_answers (Server.handle_line server (query ~synopsis:"wave" (many_ranges 70))) in
+  check_floats "reused entry answers identically" before.estimates after.estimates;
+  Alcotest.(check int) "answers cite the new generation" 2 after.generation;
+  (* a different dataset never reuses an entry: its bound measures
+     other data *)
+  let g3 = Error.get (Generation.load ~previous:g2 ~gen_id:3 dir) in
+  Alcotest.(check (pair int int)) "no dataset: nothing reused" (0, 3)
+    (g3.Generation.reused, g3.Generation.decoded);
+  Alcotest.(check bool) "no dataset, no bound" true
+    ((Option.get (Generation.find g3 "opta")).Generation.rmse_bound = None)
+
+let test_reload_never_reuses_flipped_bytes () =
+  with_tmp_dir @@ fun dir ->
+  let (_ : Store.t) = make_store dir in
+  List.iter
+    (fun name ->
+      let pristine = read_entry dir name in
+      List.iter
+        (fun pos ->
+          write_entry dir name pristine;
+          with_server ~dataset:paper dir @@ fun server ->
+          ignore (expect_answers (Server.handle_line server (query ~synopsis:name [ (1, n) ])));
+          let b = Bytes.of_string pristine in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x01));
+          write_entry dir name (Bytes.to_string b);
+          let entries, quarantined, reused, decoded = reload_counts server in
+          let what = Printf.sprintf "%s byte %d" name pos in
+          Alcotest.(check int) (what ^ ": quarantined") 1 quarantined;
+          Alcotest.(check (triple int int int)) (what ^ ": others reused")
+            (2, 2, 0) (entries, reused, decoded);
+          let r = expect_refusal (Server.handle_line server (query ~synopsis:name [ (1, n) ])) in
+          Alcotest.(check bool) (what ^ ": never served") true
+            (r.refusal = P.Unknown_synopsis);
+          (* quarantine moved the file aside: put the pristine one back *)
+          write_entry dir name pristine)
+        [ 0; String.length pristine / 2; String.length pristine - 2 ])
+    [ "opta"; "sap1"; "wave" ]
+
+let test_reload_decodes_same_length_rewrite () =
+  with_tmp_dir @@ fun dir ->
+  let store = make_store dir in
+  let wave coeffs =
+    Synopsis.Wavelet
+      (Rs_wavelet.Synopsis.of_coefficients ~name:"w" ~n Rs_wavelet.Synopsis.Prefix_sums
+         coeffs)
+  in
+  let first = wave [| (1, 1.5); (3, -0.5); (9, 0.75) |]
+  and second = wave [| (1, 2.5); (3, -0.5); (9, 0.75) |] in
+  Store.put store ~name:"wave" first;
+  let bytes1 = read_entry dir "wave" in
+  with_server ~dataset:paper dir @@ fun server ->
+  let ranges = many_ranges 70 in
+  let expected syn = Array.of_list (List.map (fun (a, b) -> Synopsis.estimate syn ~a ~b) ranges) in
+  check_floats "first synopsis served" (expected first)
+    (expect_answers (Server.handle_line server (query ~synopsis:"wave" ranges))).estimates;
+  Store.put store ~name:"wave" second;
+  let bytes2 = read_entry dir "wave" in
+  Alcotest.(check int) "same byte length" (String.length bytes1) (String.length bytes2);
+  Alcotest.(check bool) "different bytes" false (String.equal bytes1 bytes2);
+  let entries, quarantined, reused, decoded = reload_counts server in
+  Alcotest.(check (list int)) "rewrite decoded, the rest reused" [ 3; 0; 2; 1 ]
+    [ entries; quarantined; reused; decoded ];
+  let a = expect_answers (Server.handle_line server (query ~synopsis:"wave" ranges)) in
+  check_floats "the new synopsis answers" (expected second) a.estimates;
+  Alcotest.(check int) "from the new generation" 2 a.generation
+
+(* A CRC-valid entry whose values are not finite is corrupt: the reload
+   quarantines it and keeps serving the rest. *)
+let test_reload_quarantines_non_finite_entry () =
+  with_tmp_dir @@ fun dir ->
+  let (_ : Store.t) = make_store dir in
+  with_server ~dataset:paper dir @@ fun server ->
+  let before = expect_answers (Server.handle_line server (query ~synopsis:"opta" [ (1, n) ])) in
+  let lines = String.split_on_char '\n' (read_entry dir "wave") in
+  let lines =
+    List.map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | "coeffs" :: first :: rest ->
+            let i = String.index first ':' in
+            String.concat " " ("coeffs" :: (String.sub first 0 (i + 1) ^ "nan") :: rest)
+        | _ -> l)
+      lines
+  in
+  let body = String.concat "\n" (List.filteri (fun i _ -> i >= 2) lines) in
+  write_entry dir "wave"
+    (Printf.sprintf "range-synopsis 2\ncrc %s\n%s" (Rs_util.Crc32.digest body) body);
+  let entries, quarantined, reused, decoded = reload_counts server in
+  Alcotest.(check (list int)) "nan entry quarantined, others reused" [ 2; 1; 2; 0 ]
+    [ entries; quarantined; reused; decoded ];
+  Alcotest.(check bool) "reason names the value" true
+    (List.exists
+       (fun (name, reason) -> name = "wave" && contains reason "non-finite")
+       (Server.generation server).Generation.quarantined);
+  let r = expect_refusal (Server.handle_line server (query ~synopsis:"wave" [ (1, 2) ])) in
+  Alcotest.(check bool) "never served" true (r.refusal = P.Unknown_synopsis);
+  let after = expect_answers (Server.handle_line server (query ~synopsis:"opta" [ (1, n) ])) in
+  check_floats "others keep serving" before.estimates after.estimates
+
+(* The counters reach the metrics op, once per load, and the reloaded
+   line on rs.serve names them. *)
+let test_reload_observability () =
+  with_tmp_dir @@ fun dir ->
+  let (_ : Store.t) = make_store dir in
+  let logged = Buffer.create 256 in
+  let reporter =
+    {
+      Logs.report =
+        (fun src _level ~over k msgf ->
+          msgf (fun ?header:_ ?tags:_ fmt ->
+              Format.kasprintf
+                (fun line ->
+                  if Logs.Src.name src = "rs.serve" then
+                    Buffer.add_string logged (line ^ "\n");
+                  over ();
+                  k ())
+                fmt));
+    }
+  in
+  let old_reporter = Logs.reporter () and old_level = Logs.Src.level Server.log_src in
+  Logs.set_reporter reporter;
+  Logs.Src.set_level Server.log_src (Some Logs.Info);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter old_reporter;
+      Logs.Src.set_level Server.log_src old_level)
+  @@ fun () ->
+  Rs_util.Metrics.with_enabled @@ fun () ->
+  Rs_util.Metrics.reset ();
+  with_server dir @@ fun server ->
+  ignore (reload_counts server);
+  for _ = 1 to 50 do
+    ignore (expect_answers (Server.handle_line server (query ~synopsis:"opta" [ (1, 5) ])))
+  done;
+  let counter name =
+    Option.value ~default:0
+      (List.assoc_opt name (Rs_util.Metrics.report ()).Rs_util.Metrics.r_counters)
+  in
+  (* cold start decodes 3, the reload reuses 3; lookups add nothing *)
+  Alcotest.(check int) "decoded" 3 (counter "generation.entries_decoded");
+  Alcotest.(check int) "reused" 3 (counter "generation.entries_reused");
+  (* the report is spliced into the reply as rs-metrics-v1 bytes *)
+  let line = Server.handle_line server (P.encode_request P.Metrics) in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " in the metrics op") true (contains line key))
+    [ "\"generation.entries_reused\": 3"; "\"generation.entries_decoded\": 3" ];
+  Alcotest.(check bool) "reloaded line counts reuse" true
+    (contains (Buffer.contents logged) "3 entries (3 reused, 0 decoded)")
+
 let test_metrics_response_single_line () =
   with_tmp_dir @@ fun dir ->
   let (_ : Store.t) = make_store dir in
@@ -2211,6 +2408,16 @@ let () =
             test_reload_quarantines_and_keeps_serving;
           Alcotest.test_case "failure keeps old generation" `Quick
             test_reload_failure_keeps_old_generation;
+          Alcotest.test_case "reuses untouched entries" `Quick
+            test_reload_reuses_untouched_entries;
+          Alcotest.test_case "never reuses flipped bytes" `Quick
+            test_reload_never_reuses_flipped_bytes;
+          Alcotest.test_case "decodes a same-length rewrite" `Quick
+            test_reload_decodes_same_length_rewrite;
+          Alcotest.test_case "quarantines non-finite values" `Quick
+            test_reload_quarantines_non_finite_entry;
+          Alcotest.test_case "reuse counters and log line" `Quick
+            test_reload_observability;
         ] );
       ( "metrics",
         [

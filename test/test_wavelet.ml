@@ -435,6 +435,203 @@ let prop_range_optimal_beats_random_detail_subsets =
         end
       end)
 
+(* --- reconstruction twins ---
+
+   The oracle is the per-position fold the library ran before its
+   coefficient-major reconstruction: one checked Haar.psi_prefix /
+   Haar.reconstruct_point call per (position, coefficient).  The
+   library must match it bit for bit — served estimates are differences
+   of these vectors. *)
+
+let oracle_prefix ~domain ~n ~padded coeffs =
+  match domain with
+  | Synopsis.Data ->
+      Array.init (n + 1) (fun t ->
+          Array.fold_left
+            (fun acc (index, c) ->
+              acc +. (c *. Haar.psi_prefix ~n:padded ~index ~upto:(t - 1)))
+            0. coeffs)
+  | Synopsis.Prefix_sums ->
+      let raw =
+        Array.init (n + 1) (fun t -> Haar.reconstruct_point ~n:padded ~coeffs ~pos:t)
+      in
+      let base = raw.(0) in
+      Array.map (fun v -> v -. base) raw
+
+let oracle_two_sided ~n ~padded right left =
+  let reconstruct coeffs =
+    Array.init (n + 1) (fun t -> Haar.reconstruct_point ~n:padded ~coeffs ~pos:t)
+  in
+  let f = reconstruct right and g = reconstruct left in
+  let base = f.(0) in
+  (Array.map (fun v -> v -. base) f, Array.map (fun v -> v -. base) g)
+
+let check_bits msg expected actual =
+  Alcotest.(check int) (msg ^ " length") (Array.length expected) (Array.length actual);
+  Array.iteri
+    (fun t e ->
+      if Int64.bits_of_float e <> Int64.bits_of_float actual.(t) then
+        Alcotest.failf "%s: position %d: expected %h, got %h" msg t e actual.(t))
+    expected
+
+(* Coefficient values of every sign and scale: ordinary, negative,
+   tiny (down to subnormal) and large. *)
+let random_coeff rng =
+  let mag =
+    match Rng.int rng 6 with
+    | 0 -> Float.ldexp (Rng.float rng) (-1070)
+    | 1 -> Float.ldexp (Rng.float rng) (-40)
+    | 2 -> Float.ldexp (Rng.float rng) 60
+    | _ -> Rng.float rng *. 1000.
+  in
+  if Rng.int rng 2 = 0 then -.mag else mag
+
+(* Up to [k] distinct indices from [lo, padded), in random order. *)
+let random_coeffs rng ~padded ~lo ~k =
+  let avail = padded - lo in
+  if avail <= 0 then [||]
+  else begin
+    let pool = Array.init avail (fun i -> lo + i) in
+    for i = avail - 1 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let x = pool.(i) in
+      pool.(i) <- pool.(j);
+      pool.(j) <- x
+    done;
+    let k = min avail (Rng.int rng (k + 1)) in
+    Array.init k (fun i -> (pool.(i), random_coeff rng))
+  end
+
+(* Domain sizes whose transform length is 2^p: a power of two itself and
+   a random size that pads up to it. *)
+let sizes_for_padded rng ~domain p =
+  let len = 1 lsl p in
+  match domain with
+  | Synopsis.Data -> if p = 0 then [ 1 ] else [ len; (len / 2) + 1 + Rng.int rng (len / 2) ]
+  | Synopsis.Prefix_sums ->
+      (* padded = next_pow2 (n+1) *)
+      if p = 0 then []
+      else if p = 1 then [ 1 ]
+      else [ len - 1; len / 2 + Rng.int rng (len / 2) ]
+
+let test_reconstruction_twin_one_sided () =
+  let rng = Rng.create 77 in
+  List.iter
+    (fun domain ->
+      for p = 0 to 12 do
+        List.iter
+          (fun n ->
+            for _ = 1 to 4 do
+              let padded =
+                match domain with
+                | Synopsis.Data -> Haar.next_pow2 n
+                | Synopsis.Prefix_sums -> Haar.next_pow2 (n + 1)
+              in
+              let coeffs = random_coeffs rng ~padded ~lo:0 ~k:48 in
+              let coeffs =
+                (* the scaling coefficient in about half the sets *)
+                if Rng.int rng 2 = 0 && not (Array.exists (fun (i, _) -> i = 0) coeffs)
+                then Array.append [| (0, random_coeff rng) |] coeffs
+                else coeffs
+              in
+              let s = Synopsis.of_coefficients ~n domain coeffs in
+              let sorted = Synopsis.coefficients s in
+              check_bits
+                (Printf.sprintf "n=%d padded=%d" n padded)
+                (oracle_prefix ~domain ~n ~padded sorted)
+                (Synopsis.prefix_hat s)
+            done)
+          (sizes_for_padded rng ~domain p)
+      done)
+    [ Synopsis.Data; Synopsis.Prefix_sums ]
+
+let test_reconstruction_twin_two_sided () =
+  let rng = Rng.create 78 in
+  for p = 1 to 12 do
+    List.iter
+      (fun n ->
+        for _ = 1 to 4 do
+          let padded = Haar.next_pow2 (n + 1) in
+          let right = random_coeffs rng ~padded ~lo:1 ~k:32 in
+          let left = random_coeffs rng ~padded ~lo:1 ~k:32 in
+          let s = Synopsis.of_two_sided ~n right left in
+          let f, g = oracle_two_sided ~n ~padded right left in
+          let msg = Printf.sprintf "n=%d padded=%d" n padded in
+          check_bits (msg ^ " right") f (Synopsis.prefix_hat s);
+          check_bits (msg ^ " left") g (Option.get (Synopsis.prefix_hat_left s))
+        done)
+      (sizes_for_padded rng ~domain:Synopsis.Prefix_sums p)
+  done
+
+let test_reconstruction_twin_update_two_sided () =
+  let rng = Rng.create 79 in
+  let data = Helpers.random_float_data rng ~n:300 ~hi:50. in
+  let s = ref (Synopsis.aa_2d data ~b:24) in
+  let padded = Haar.next_pow2 301 in
+  for _ = 1 to 25 do
+    let i = 1 + Rng.int rng 300 in
+    s := Synopsis.update !s ~i ~delta:(random_coeff rng);
+    let right, left = Synopsis.sides !s in
+    let f, g = oracle_two_sided ~n:300 ~padded right (Option.get left) in
+    check_bits "updated right" f (Synopsis.prefix_hat !s);
+    check_bits "updated left" g (Option.get (Synopsis.prefix_hat_left !s))
+  done
+
+(* Stored entries decode to the estimates the per-position fold gives. *)
+let test_reconstruction_twin_decoded_entries () =
+  let rng = Rng.create 80 in
+  let data = Helpers.random_float_data rng ~n:1000 ~hi:200. in
+  List.iter
+    (fun (what, syn) ->
+      let bytes = Rs_core.Codec.to_string (Rs_core.Synopsis.Wavelet syn) in
+      let decoded = Rs_core.Codec.of_string bytes in
+      let n = Synopsis.n syn in
+      let right, left = Synopsis.sides syn in
+      let f, g =
+        match left with
+        | Some left -> oracle_two_sided ~n ~padded:(Haar.next_pow2 (n + 1)) right left
+        | None ->
+            let domain = Synopsis.domain syn in
+            let padded =
+              match domain with
+              | Synopsis.Data -> Haar.next_pow2 n
+              | Synopsis.Prefix_sums -> Haar.next_pow2 (n + 1)
+            in
+            let d = oracle_prefix ~domain ~n ~padded right in
+            (d, d)
+      in
+      for _ = 1 to 500 do
+        let a = 1 + Rng.int rng n in
+        let b = a + Rng.int rng (n - a + 1) in
+        let expected = f.(b) -. g.(a - 1) in
+        let got = Rs_core.Synopsis.estimate decoded ~a ~b in
+        if Int64.bits_of_float expected <> Int64.bits_of_float got then
+          Alcotest.failf "%s [%d,%d]: expected %h, got %h" what a b expected got
+      done)
+    [
+      ("topbb", Synopsis.top_b_data data ~b:32);
+      ("wave-range-opt", Synopsis.range_optimal data ~b:32);
+      ("wave-aa", Synopsis.aa_2d data ~b:32);
+    ]
+
+let test_support_matches_psi () =
+  List.iter
+    (fun n ->
+      for index = 1 to n - 1 do
+        let lo, mid, hi, v = Haar.support ~n ~index in
+        for pos = 0 to n - 1 do
+          let expected =
+            if pos < lo || pos >= hi then 0. else if pos < mid then v else -.v
+          in
+          Alcotest.(check (float 0.)) "psi" expected (Haar.psi ~n ~index ~pos)
+        done
+      done)
+    [ 2; 4; 8; 32 ];
+  try
+    ignore (Haar.support ~n:8 ~index:0);
+    Alcotest.fail "expected Invalid_argument (scaling index)"
+  with Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "wavelet_synopsis"
     [
@@ -477,5 +674,17 @@ let () =
           Alcotest.test_case "update two-sided" `Quick test_update_two_sided;
           Alcotest.test_case "full budget stays exact" `Quick test_update_full_budget_stays_exact;
           Alcotest.test_case "bad args" `Quick test_update_rejects_bad_args;
+        ] );
+      ( "reconstruction",
+        [
+          Alcotest.test_case "one-sided = per-position fold" `Quick
+            test_reconstruction_twin_one_sided;
+          Alcotest.test_case "two-sided = per-position fold" `Quick
+            test_reconstruction_twin_two_sided;
+          Alcotest.test_case "update two-sided = per-position fold" `Quick
+            test_reconstruction_twin_update_two_sided;
+          Alcotest.test_case "decoded entries = per-position fold" `Quick
+            test_reconstruction_twin_decoded_entries;
+          Alcotest.test_case "support = psi" `Quick test_support_matches_psi;
         ] );
     ]
