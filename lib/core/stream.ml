@@ -1,10 +1,11 @@
 (* Streaming ingestion over a segmented synopsis (DESIGN.md §16).
 
-   The stream owns, per segment, an incremental prefix-moment table
-   ({!Rs_util.Prefix.Inc}) and a staleness mass; ingested point-deltas
-   are WAL-acked (when a store is attached), folded into the segment's
-   moments in O(segment-suffix) — never a rebuild — and accumulate
-   |δ| mass until the segment crosses the staleness threshold.
+   The stream owns, per segment, its plain current values and a
+   staleness mass; ingested point-deltas are WAL-acked (when a store
+   is attached), added into the segment's values in O(1) per delta —
+   never a rebuild, never a moment table (the builder derives prefix
+   moments from raw data on every build) — and accumulate |δ| mass
+   until the segment crosses the staleness threshold.
    [refresh] then re-optimizes only the dirty segments through the
    ordinary {!Builder} path, so a rebuilt segment is bit-identical to
    a from-scratch batch build of the same data (the determinism twin
@@ -19,7 +20,6 @@
    spawns nothing. *)
 
 module Error = Rs_util.Error
-module Prefix = Rs_util.Prefix
 module Faults = Rs_util.Faults
 module Metrics = Rs_util.Metrics
 module Governor = Rs_util.Governor
@@ -54,9 +54,11 @@ type seg = {
   s_lo : int;
   s_hi : int;
   s_grant : int;
-  inc : Prefix.Inc.t; (* the segment's slice, incrementally maintained *)
+  values : float array;
+      (* the segment's live slice, values.(i - s_lo) = A[i]; never
+         handed out — readers copy *)
   mutable dirty : float; (* accumulated |δ| mass since last rebuild *)
-  mutable applied : int; (* highest WAL seq folded into [inc] *)
+  mutable applied : int; (* highest WAL seq folded into [values] *)
   mutable synopsis : Synopsis.t;
 }
 
@@ -66,6 +68,9 @@ type t = {
   store : Store.t option;
   segs : seg array;
   mutable acked : int; (* highest WAL seq acked by this stream *)
+  mutable pending_records : int;
+      (* WAL records acked since the last manifest checkpoint *)
+  mutable pending_deltas : int; (* ... and the deltas they carry *)
 }
 
 type ingest_report = { applied : int; stale : int list }
@@ -77,6 +82,15 @@ type refresh_report = {
 }
 
 let seg_name t i = Printf.sprintf "%s.seg%d" t.cfg.entry_prefix i
+
+(* How far the WAL runs ahead of the STREAM manifest: set once per
+   ingest batch, refresh and resume — never per delta. *)
+let g_pending_records = Metrics.gauge "stream.wal.pending_records"
+let g_pending_deltas = Metrics.gauge "stream.wal.pending_deltas"
+
+let publish_pending t =
+  Metrics.set g_pending_records (float_of_int t.pending_records);
+  Metrics.set g_pending_deltas (float_of_int t.pending_deltas)
 
 let check_config cfg n =
   if cfg.segments < 1 || cfg.segments > n then
@@ -111,10 +125,23 @@ let segments t = Array.length t.segs
 let config t = t.cfg
 let value t i =
   let s = t.segs.(segment_of t i) in
-  Prefix.Inc.value s.inc (i - s.s_lo + 1)
+  s.values.(i - s.s_lo)
 
-let data t =
-  Array.concat (Array.to_list (Array.map (fun s -> Prefix.Inc.data s.inc) t.segs))
+let data t = Array.concat (Array.to_list (Array.map (fun s -> s.values) t.segs))
+
+(* P[b] - P[a-1] over the segment's local positions, with P the plain
+   left fold from 0. — the same cells (and so the same bits) the
+   prefix tables of {!Rs_util.Prefix} hold, computed on demand. *)
+let seg_range_sum values ~a ~b =
+  let p = ref 0. in
+  for u = 0 to a - 2 do
+    p := !p +. values.(u)
+  done;
+  let before = !p in
+  for u = a - 1 to b - 1 do
+    p := !p +. values.(u)
+  done;
+  !p -. before
 
 let range_sum t ~a ~b =
   if a < 1 || b > t.n || a > b then
@@ -126,7 +153,7 @@ let range_sum t ~a ~b =
       if lo <= hi then
         acc :=
           !acc
-          +. Prefix.Inc.range_sum s.inc ~a:(lo - s.s_lo + 1)
+          +. seg_range_sum s.values ~a:(lo - s.s_lo + 1)
                ~b:(hi - s.s_lo + 1))
     t.segs;
   !acc
@@ -143,6 +170,8 @@ let synopsis t =
 
 (* --- construction ------------------------------------------------- *)
 
+(* [Dataset.of_floats] copies [values]: the build never shares the
+   live slice. *)
 let build_segment cfg ~grant ~name values =
   let ds = Dataset.of_floats ~name values in
   let built =
@@ -166,8 +195,7 @@ let manifest_body t =
     (fun s ->
       Printf.bprintf buf "seg %d %d %d %d %h" s.s_lo s.s_hi s.s_grant
         s.applied s.dirty;
-      let d = Prefix.Inc.data s.inc in
-      Array.iter (fun v -> Printf.bprintf buf " %h" v) d;
+      Array.iter (fun v -> Printf.bprintf buf " %h" v) s.values;
       Buffer.add_char buf '\n')
     t.segs;
   Buffer.contents buf
@@ -207,7 +235,7 @@ let apply_seg t k sub =
   let s = t.segs.(k) in
   Array.iter
     (fun (i, d) ->
-      Prefix.Inc.add s.inc ~i:(i - s.s_lo + 1) ~delta:d;
+      s.values.(i - s.s_lo) <- s.values.(i - s.s_lo) +. d;
       s.dirty <- s.dirty +. abs_float d)
     sub
 
@@ -247,7 +275,10 @@ let ingest t deltas =
         (fun (k, _) r ->
           t.segs.(k).applied <- r.Store.seq;
           t.acked <- max t.acked r.Store.seq)
-        batches records);
+        batches records;
+      t.pending_records <- t.pending_records + List.length records;
+      t.pending_deltas <- t.pending_deltas + Array.length deltas;
+      publish_pending t);
   List.iter (fun (k, sub) -> apply_seg t k sub) batches;
   { applied = Array.length deltas; stale = stale_segments t }
 
@@ -273,7 +304,7 @@ let refresh ?(governor = Governor.unlimited) ?(force = false) t =
             let s = t.segs.(k) in
             let syn =
               build_segment t.cfg ~grant:s.s_grant ~name:(seg_name t k)
-                (Prefix.Inc.data s.inc)
+                s.values
             in
             s.synopsis <- syn;
             s.dirty <- 0.;
@@ -292,6 +323,9 @@ let refresh ?(governor = Governor.unlimited) ?(force = false) t =
   | None -> ()
   | Some store ->
       save_manifest t;
+      t.pending_records <- 0;
+      t.pending_deltas <- 0;
+      publish_pending t;
       let applied = Hashtbl.create 16 in
       Array.iteri
         (fun i (s : seg) -> Hashtbl.replace applied (seg_name t i) s.applied)
@@ -321,7 +355,7 @@ let create ?(config = default_config) ?store ds =
           s_lo = lo;
           s_hi = hi;
           s_grant = grants.(i);
-          inc = Prefix.Inc.of_array slice;
+          values = slice;
           dirty = 0.;
           applied = 0;
           synopsis =
@@ -331,7 +365,17 @@ let create ?(config = default_config) ?store ds =
         })
       plan.Segmented.bounds
   in
-  let t = { cfg = config; n; store; segs; acked = 0 } in
+  let t =
+    {
+      cfg = config;
+      n;
+      store;
+      segs;
+      acked = 0;
+      pending_records = 0;
+      pending_deltas = 0;
+    }
+  in
   (match store with
   | None -> ()
   | Some store' ->
@@ -399,10 +443,15 @@ let parse_manifest ~path body =
 
 (* Reopen a stream from its store: manifest base state, then WAL
    replay of records above each segment's applied seq — exactly the
-   deltas acked after the last checkpoint.  Missing or corrupt segment
-   entries are rebuilt from the replayed data (deterministic), never
-   trusted stale. *)
+   deltas acked after the last checkpoint, one in-place add each.
+   Replay re-checks what {!check_batch} guaranteed at ingest (position
+   inside the record's segment, finite non-negative result): a
+   CRC-valid record that breaks it is a corrupt log, refused as
+   [Corrupt_checkpoint] naming the WAL — never an array-bounds crash or
+   a poisoned value.  Missing or corrupt segment entries are rebuilt
+   from the replayed data (deterministic), never trusted stale. *)
 let resume ?(options = Builder.default_options) store =
+  let started = Rs_util.Mclock.now () in
   match Store.load_stream_manifest store with
   | Error e -> Error e
   | Ok None -> Ok None
@@ -428,17 +477,22 @@ let resume ?(options = Builder.default_options) store =
           ignore
             (Segmented.plan_of_bounds ~n
                (Array.map (fun (lo, hi, _, _, _, _) -> (lo, hi)) specs));
-          let incs =
-            Array.map
-              (fun (_, _, _, _, _, vals) -> Prefix.Inc.of_array vals)
-              specs
-          in
+          let values = Array.map (fun (_, _, _, _, _, vals) -> vals) specs in
           let applied =
             Array.map (fun (_, _, _, a, _, _) -> ref a) specs
           in
           let dirty = Array.map (fun (_, _, _, _, d, _) -> ref d) specs in
           let name_of i = Printf.sprintf "%s.seg%d" prefix i in
           let acked = ref (Array.fold_left (fun a r -> max a !r) 0 applied) in
+          let replayed = ref 0 and replayed_deltas = ref 0 in
+          let corrupt_wal fmt =
+            Printf.ksprintf
+              (fun reason ->
+                Error.raise_error
+                  (Error.Corrupt_checkpoint
+                     { path = Store.wal_path store; reason }))
+              fmt
+          in
           (* Replay acked-but-uncheckpointed deltas, idempotently:
              records at or below a segment's applied seq are already in
              its manifest base data. *)
@@ -460,14 +514,29 @@ let resume ?(options = Builder.default_options) store =
                           m "resume: WAL record for unknown segment %s"
                             r.Store.name)
                   | Some k ->
-                      let lo, _, _, _, _, _ = specs.(k) in
+                      let lo, hi, _, _, _, _ = specs.(k) in
+                      let v = values.(k) in
                       if r.Store.seq > !(applied.(k)) then begin
                         Array.iter
                           (fun (i, d) ->
-                            Prefix.Inc.add incs.(k) ~i:(i - lo + 1) ~delta:d;
+                            if i < lo || i > hi then
+                              corrupt_wal
+                                "WAL record %d puts position %d outside \
+                                 segment %s [%d..%d]"
+                                r.Store.seq i r.Store.name lo hi;
+                            let x = v.(i - lo) +. d in
+                            if not (Float.is_finite x && x >= 0.) then
+                              corrupt_wal
+                                "WAL record %d drives position %d to %h \
+                                 (not finite and >= 0)"
+                                r.Store.seq i x;
+                            v.(i - lo) <- x;
                             dirty.(k) := !(dirty.(k)) +. abs_float d)
                           r.Store.deltas;
-                        applied.(k) := r.Store.seq
+                        applied.(k) := r.Store.seq;
+                        incr replayed;
+                        replayed_deltas :=
+                          !replayed_deltas + Array.length r.Store.deltas
                       end;
                       acked := max !acked r.Store.seq)
                 records);
@@ -488,10 +557,7 @@ let resume ?(options = Builder.default_options) store =
                           m "resume: rebuilding segment %d (entry %s \
                              unusable)"
                             i name);
-                      let syn =
-                        build_segment cfg ~grant ~name
-                          (Prefix.Inc.data incs.(i))
-                      in
+                      let syn = build_segment cfg ~grant ~name values.(i) in
                       dirty.(i) := 0.;
                       Store.put store ~name syn;
                       syn
@@ -500,14 +566,30 @@ let resume ?(options = Builder.default_options) store =
                   s_lo = lo;
                   s_hi = hi;
                   s_grant = grant;
-                  inc = incs.(i);
+                  values = values.(i);
                   dirty = !(dirty.(i));
                   applied = !(applied.(i));
                   synopsis;
                 })
               specs
           in
-          Some { cfg; n; store = Some store; segs; acked = !acked })
+          let t =
+            {
+              cfg;
+              n;
+              store = Some store;
+              segs;
+              acked = !acked;
+              pending_records = !replayed;
+              pending_deltas = !replayed_deltas;
+            }
+          in
+          publish_pending t;
+          Log.info (fun m ->
+              m "resume: replayed %d WAL record(s), %d delta(s) in %.3f ms"
+                !replayed !replayed_deltas
+                ((Rs_util.Mclock.now () -. started) *. 1e3));
+          Some t)
 
 (* --- rolling windows ---------------------------------------------- *)
 

@@ -2,9 +2,9 @@
 
     The batch world builds a synopsis once over a frozen array; this
     module keeps one {e alive} under point-deltas.  The domain is
-    partitioned as in {!Segmented}; each segment owns an incremental
-    prefix-moment table ({!Rs_util.Prefix.Inc}) that folds deltas in
-    suffix time (never a rebuild) plus an accumulated [|δ|] staleness
+    partitioned as in {!Segmented}; each segment owns its plain
+    current values, into which a delta is one in-place add (O(1) per
+    delta, never a rebuild), plus an accumulated [|δ|] staleness
     mass.  {!ingest} routes a delta batch to its segments —
     write-ahead-logged and fsynced {e before} it is acknowledged when a
     {!Store} is attached, so kill -9 after an ack never loses a delta —
@@ -19,8 +19,11 @@
     restores the manifest, replays WAL records {e above} each segment's
     applied sequence (idempotent — a crash between manifest write and
     WAL compaction double-delivers, and the sequence check drops the
-    duplicates), and reloads or deterministically rebuilds segment
-    synopses.
+    duplicates) at O(1) per delta, and reloads or deterministically
+    rebuilds segment synopses.  Two gauges say how far the WAL runs
+    ahead of the manifest: ["stream.wal.pending_records"] and
+    ["stream.wal.pending_deltas"], set once per ingest batch, refresh
+    and resume.
 
     Concurrency/faults (CLAUDE.md invariants): the stream is
     {e coordinator-only}.  The ["stream.ingest"] / ["stream.refresh"]
@@ -74,9 +77,12 @@ val resume :
     otherwise restore base data, replay the WAL idempotently, and load
     (or rebuild, deterministically) every segment synopsis.  Config is
     the manifest's; [options] re-arms the non-serializable build
-    options.  [Error (Corrupt_checkpoint _)] on a damaged manifest —
-    quarantine via {!Store.quarantine_stream_manifest} and rebuild from
-    scratch. *)
+    options.  [Error (Corrupt_checkpoint _)] on a damaged manifest, or
+    naming the WAL when a CRC-valid record puts a delta outside its
+    segment or drives a value non-finite or negative — quarantine via
+    {!Store.quarantine_stream_manifest} and rebuild from scratch.  Logs
+    one [rs.stream] info line: records and deltas replayed, and the
+    time taken. *)
 
 val n : t -> int
 val segments : t -> int
@@ -89,7 +95,10 @@ val data : t -> float array
 (** Fresh copy of the current live data. *)
 
 val range_sum : t -> a:int -> b:int -> float
-(** Exact current range sum (from the incremental moments — O(S)). *)
+(** Exact current range sum: each overlapping segment adds
+    [P[b] - P[a-1]] of its own plain prefix fold, computed on demand
+    (O(segment width)) — the bits a {!Rs_util.Prefix} table over that
+    segment's values would give. *)
 
 val staleness : t -> float array
 (** Per-segment accumulated [|δ|] mass since its last rebuild. *)
@@ -102,16 +111,16 @@ val ingest : t -> (int * float) array -> ingest_report
     positions).  All-or-nothing: the batch is validated first (bounds,
     finiteness, and no resulting value may go negative — the rebuild
     path requires buildable data), then WAL-appended and fsynced (the
-    ack point) as one record per touched segment, then folded into the
-    segments' moments.  Raises [Rs_error (Invalid_input _)] on a bad
+    ack point) as one record per touched segment, then added into the
+    segments' values, O(1) per delta.  Raises [Rs_error (Invalid_input _)] on a bad
     batch (nothing applied, nothing logged), [Io_failure] if the WAL
     write fails (nothing acked). *)
 
 val refresh :
   ?governor:Rs_util.Governor.t -> ?force:bool -> t -> refresh_report
 (** Re-optimize every stale segment (all segments under [~force:true]):
-    freeze its incremental moments, rebuild through {!Builder} with the
-    segment's grant (bit-identical to a batch build of the same data),
+    rebuild a copy of its values through {!Builder} with the segment's
+    grant (bit-identical to a batch build of the same data),
     persist the new entry, and reset its mass.  The [governor] is
     polled once per segment boundary; expiry stops cleanly with the
     remaining segments still marked stale.  After the loop the [STREAM]

@@ -542,6 +542,89 @@ let test_json_schema () =
       close_in ic;
       Alcotest.(check string) "file matches to_json" s contents)
 
+(* --- Stream WAL gauges -------------------------------------------------- *)
+
+(* "How far behind is the WAL": the live metrics op carries the records
+   and deltas acked since the last STREAM checkpoint, both zero once a
+   refresh checkpoints, and a resume says on rs.stream what it
+   replayed. *)
+let test_stream_wal_gauges () =
+  let module Stream = Rs_core.Stream in
+  let module Store = Rs_core.Store in
+  let module Server = Rs_serve.Server in
+  let module P = Rs_serve.Protocol in
+  let dir = Filename.temp_file "rs_obs_stream" ".store" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  ignore
+    (Stream.create ~store:(Store.open_dir dir) (Rs_core.Dataset.generate "zipf-64"));
+  let logged = Buffer.create 256 in
+  let reporter =
+    {
+      Logs.report =
+        (fun src _level ~over k msgf ->
+          msgf (fun ?header:_ ?tags:_ fmt ->
+              Format.kasprintf
+                (fun line ->
+                  if Logs.Src.name src = "rs.stream" then
+                    Buffer.add_string logged (line ^ "\n");
+                  over ();
+                  k ())
+                fmt));
+    }
+  in
+  let old_reporter = Logs.reporter () and old_level = Logs.Src.level Stream.log_src in
+  Logs.set_reporter reporter;
+  Logs.Src.set_level Stream.log_src (Some Logs.Info);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter old_reporter;
+      Logs.Src.set_level Stream.log_src old_level)
+  @@ fun () ->
+  with_fresh @@ fun () ->
+  let server =
+    match Server.create (Server.default_config ~store_dir:dir) with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "server: %s" (Error.to_string e)
+  in
+  Fun.protect ~finally:(fun () -> Server.close server) @@ fun () ->
+  let ingest deltas =
+    let line =
+      Server.handle_line server
+        (P.encode_request (P.Ingest { id = None; synopsis = "stream"; deltas }))
+    in
+    Alcotest.(check bool) ("ingest acked: " ^ line) true (contains line "\"applied\"")
+  in
+  let gauges_read what records deltas =
+    let line = Server.handle_line server (P.encode_request P.Metrics) in
+    List.iter
+      (fun key ->
+        Alcotest.(check bool) (Printf.sprintf "%s: %s" what key) true (contains line key))
+      [
+        Printf.sprintf "\"stream.wal.pending_records\": %d.0" records;
+        Printf.sprintf "\"stream.wal.pending_deltas\": %d.0" deltas;
+      ]
+  in
+  (* seg0 and seg1 in one batch (two records), then seg0 again *)
+  ingest [| (2, 1.5); (20, 2.) |];
+  ingest [| (3, 1.) |];
+  gauges_read "after ingests" 3 3;
+  (* a reload re-resumes: replay finds the same three records *)
+  ignore (Server.reload server);
+  gauges_read "after reload" 3 3;
+  Alcotest.(check bool) "resume logs its replay" true
+    (contains (Buffer.contents logged) "replayed 3 WAL record(s), 3 delta(s)");
+  ignore (Stream.refresh (Option.get (Server.stream server)));
+  gauges_read "after refresh" 0 0
+
 (* --- Environment contract --------------------------------------------- *)
 
 let test_rs_log_parsing () =
@@ -638,6 +721,7 @@ let () =
           Alcotest.test_case "histogram buckets" `Quick test_histogram_semantics;
           Alcotest.test_case "disabled is inert and cheap" `Quick
             test_disabled_is_inert_and_cheap;
+          Alcotest.test_case "stream WAL gauges" `Quick test_stream_wal_gauges;
         ] );
       ( "trace",
         [

@@ -1,10 +1,12 @@
 (* Streaming ingestion: incremental prefix-moment twins (bit-exact
    freeze-vs-rebuild over random delta sequences), the mergeable
    synopsis operators (wavelet and histogram), the Stream module's
-   ingest/staleness/refresh lifecycle with its WAL durability contract
-   (torn tails, double delivery, kill -9 mid-ingest), rolling windows,
-   and the serving integration (ingest op, stale demotion, RMSE-bound
-   suppression, restart durability). *)
+   ingest/staleness/refresh lifecycle (random histories against a
+   plain model, an O(1)-per-delta allocation pin) with its WAL
+   durability contract (torn tails, double delivery, kill -9
+   mid-ingest, replay refusals), rolling windows, and the serving
+   integration (ingest op, stale demotion, RMSE-bound suppression,
+   restart durability). *)
 
 module Error = Rs_util.Error
 module Faults = Rs_util.Faults
@@ -402,7 +404,7 @@ let test_stream_lifecycle () =
   Array.iteri
     (fun i v -> check_bits (Printf.sprintf "A[%d]" (i + 1)) v (Stream.value t (i + 1)))
     (Dataset.values ds);
-  (* exact range sums straight off the incremental moments *)
+  (* exact range sums folded on demand from the per-segment values *)
   let p = Dataset.prefix ds in
   for a = 1 to 64 do
     check_close ~tol:1e-12
@@ -981,6 +983,219 @@ let test_serve_batch_store_refuses_ingest () =
     (expect_refused (Server.handle_line server (ingest_line ~synopsis:"plain" [| (1, 1.) |]))
      = P.Unknown_synopsis)
 
+(* --- replay refuses what ingest refuses --------------------------------- *)
+
+(* [Store.wal_append] checks names, not positions or values, so it can
+   write a CRC-valid record that [Stream.ingest] would have refused.
+   Replay must refuse it as a corrupt log naming the WAL — never an
+   array-bounds crash, never a poisoned value — and a daemon on that
+   store must degrade to batch-only serving. *)
+let check_replay_refused name record =
+  with_tmp_dir @@ fun dir ->
+  let ds = Dataset.generate "zipf-64" in
+  let store = Store.open_dir dir in
+  ignore (Stream.create ~config:stream_config ~store ds);
+  ignore (Store.wal_append store [ record ]);
+  (match Stream.resume (Store.open_dir dir) with
+  | Error (Error.Corrupt_checkpoint { path; _ }) ->
+      Alcotest.(check string) (name ^ ": names the WAL") (Store.wal_path store) path
+  | Ok _ -> Alcotest.failf "%s: the bad record was replayed" name
+  | Error e -> Alcotest.failf "%s: wrong error: %s" name (Error.to_string e));
+  let server = ok_or_fail (Server.create (Server.default_config ~store_dir:dir)) in
+  Fun.protect ~finally:(fun () -> Server.close server) @@ fun () ->
+  Alcotest.(check bool) (name ^ ": batch-only serving") true (Server.stream server = None);
+  let a = expect_answers (Server.handle_line server (query_line ~synopsis:"stream.seg0" [ (1, 16) ])) in
+  Alcotest.(check bool) (name ^ ": entries keep serving") true (a.rung = P.Exact)
+
+let test_replay_refuses_outside_segment () =
+  (* position 40 lies in seg2 = [33..48], not in seg0 = [1..16] *)
+  check_replay_refused "outside" ("stream.seg0", [| (3, 1.); (40, 1.) |])
+
+let test_replay_refuses_non_finite () =
+  (* each delta is finite (the WAL parser refuses non-finite ones);
+     their sum overflows *)
+  check_replay_refused "non-finite"
+    ("stream.seg0", [| (2, Float.max_float); (2, Float.max_float) |])
+
+let test_replay_refuses_negative () =
+  check_replay_refused "negative" ("stream.seg1", [| (20, -1e9) |])
+
+(* --- the stream against a plain model ----------------------------------- *)
+
+(* Random ingest / refresh / compaction / resume histories, checked
+   after every step against a plain model array (values, data,
+   staleness) and against Prefix.Inc fed the same deltas (range sums).
+   Every comparison is bit-exact. *)
+let check_model name t ~model ~dirty ~incs rng =
+  let n = Array.length model in
+  let bounds = (Stream.plan t).Seg.bounds in
+  Array.iteri
+    (fun j v -> check_bits (Printf.sprintf "%s: value %d" name (j + 1)) v (Stream.value t (j + 1)))
+    model;
+  let data = Stream.data t in
+  Array.iteri
+    (fun j v -> check_bits (Printf.sprintf "%s: data %d" name (j + 1)) v data.(j))
+    model;
+  (* [data] is a copy: writing into it leaves the stream alone *)
+  data.(0) <- data.(0) +. 1.;
+  check_bits (name ^ ": data is a copy") model.(0) (Stream.value t 1);
+  Array.iteri
+    (fun k d -> check_bits (Printf.sprintf "%s: staleness %d" name k) d (Stream.staleness t).(k))
+    dirty;
+  let oracle ~a ~b =
+    let acc = ref 0. in
+    Array.iteri
+      (fun k (lo, hi) ->
+        let lo' = max a lo and hi' = min b hi in
+        if lo' <= hi' then
+          acc :=
+            !acc +. Prefix.Inc.range_sum incs.(k) ~a:(lo' - lo + 1) ~b:(hi' - lo + 1))
+      bounds;
+    !acc
+  in
+  let ranges =
+    (1, n)
+    :: List.init 6 (fun _ ->
+           let a = 1 + Rng.int rng n in
+           (a, a + Rng.int rng (n - a + 1)))
+  in
+  List.iter
+    (fun (a, b) ->
+      check_bits (Printf.sprintf "%s: range_sum [%d,%d]" name a b) (oracle ~a ~b)
+        (Stream.range_sum t ~a ~b))
+    ranges
+
+let check_same_stream name live resumed =
+  let a = Stream.data live and b = Stream.data resumed in
+  Alcotest.(check int) (name ^ ": n") (Array.length a) (Array.length b);
+  Array.iteri (fun j v -> check_bits (Printf.sprintf "%s: value %d" name (j + 1)) v b.(j)) a;
+  Array.iteri
+    (fun k d -> check_bits (Printf.sprintf "%s: staleness %d" name k) d (Stream.staleness resumed).(k))
+    (Stream.staleness live);
+  Alcotest.(check string) (name ^ ": synopses")
+    (Seg.to_string (Stream.synopsis live))
+    (Seg.to_string (Stream.synopsis resumed))
+
+let test_stream_model_twins () =
+  let rng = Rng.create 0x5715 in
+  for case = 1 to 24 do
+    with_tmp_dir @@ fun dir ->
+    let segments = 1 + Rng.int rng 8 in
+    let width =
+      match case with
+      | 1 -> 1
+      | 2 -> 4096
+      | _ -> min 4096 (int_of_float (2. ** (Rng.float rng *. 12.)))
+    in
+    let n = (width * segments) + if width < 4096 then Rng.int rng segments else 0 in
+    let base = Array.init n (fun _ -> Float.round (Rng.float rng *. 50.) +. (Rng.float rng *. 0.5)) in
+    let config =
+      {
+        stream_config with
+        Stream.method_name = "equi-width-reopt";
+        budget_words = 16 * segments;
+        segments;
+        stale_threshold = [| 0.; 5.; 1e12 |].(Rng.int rng 3);
+      }
+    in
+    let name = Printf.sprintf "case %d (n=%d, S=%d)" case n segments in
+    let t = ref (Stream.create ~config ~store:(Store.open_dir dir) (Dataset.of_floats ~name:"m" base)) in
+    let bounds = (Stream.plan !t).Seg.bounds in
+    let seg_of i =
+      let k = ref 0 in
+      while i > snd bounds.(!k) do incr k done;
+      !k
+    in
+    let model = Array.copy base in
+    let dirty = Array.make segments 0. in
+    let incs = Array.map (fun (lo, hi) -> Prefix.Inc.of_array (Array.sub base (lo - 1) (hi - lo + 1))) bounds in
+    for step = 1 to 30 do
+      let r = Rng.int rng 100 in
+      let what =
+        if r < 55 then begin
+          let batch =
+            Array.init (1 + Rng.int rng 16) (fun _ ->
+                let i = 1 + Rng.int rng n in
+                let d = (Rng.float rng -. 0.4) *. 10. in
+                let d = if model.(i - 1) +. d < 0. then abs_float d else d in
+                let k = seg_of i in
+                model.(i - 1) <- model.(i - 1) +. d;
+                dirty.(k) <- dirty.(k) +. abs_float d;
+                Prefix.Inc.add incs.(k) ~i:(i - fst bounds.(k) + 1) ~delta:d;
+                (i, d))
+          in
+          let report = Stream.ingest !t batch in
+          Alcotest.(check int) (name ^ ": applied") (Array.length batch) report.Stream.applied;
+          "ingest"
+        end
+        else if r < 75 then begin
+          let force = r >= 70 in
+          let expected =
+            List.filter (fun k -> force || dirty.(k) > config.Stream.stale_threshold)
+              (List.init segments Fun.id)
+          in
+          let report = Stream.refresh ~force !t in
+          Alcotest.(check (list int)) (name ^ ": rebuilt") expected report.Stream.rebuilt;
+          List.iter (fun k -> dirty.(k) <- 0.) expected;
+          if force then
+            Alcotest.(check string) (name ^ ": forced refresh = batch bytes")
+              (Seg.to_string (batch_twin !t))
+              (Seg.to_string (Stream.synopsis !t));
+          "refresh"
+        end
+        else begin
+          (* r >= 95 also crashes between the manifest write and the
+             compaction: the compacted records come back and replay
+             must drop them *)
+          if r >= 95 then begin
+            let wal = Store.wal_path (Store.open_dir dir) in
+            let old = if Sys.file_exists wal then read_file wal else "" in
+            let report = Stream.refresh !t in
+            List.iter (fun k -> dirty.(k) <- 0.) report.Stream.rebuilt;
+            let now = if Sys.file_exists wal then read_file wal else "" in
+            write_file wal (now ^ old)
+          end;
+          let resumed =
+            match ok_or_fail (Stream.resume (Store.open_dir dir)) with
+            | Some t' -> t'
+            | None -> Alcotest.failf "%s: manifest lost" name
+          in
+          check_same_stream (Printf.sprintf "%s step %d: resumed" name step) !t resumed;
+          t := resumed;
+          "resume"
+        end
+      in
+      check_model (Printf.sprintf "%s step %d (%s)" name step what) !t ~model ~dirty ~incs rng
+    done
+  done
+
+(* Ingest costs O(1) per delta: an in-memory ingest of a fixed 16-delta
+   batch allocates the same minor words at every segment width.  A
+   moment table that refolds the segment's suffix per delta allocates
+   in proportion to the width (thousands of words at 64, millions at
+   65,536). *)
+let test_stream_ingest_alloc_flat () =
+  let words width =
+    let ds = Dataset.of_floats ~name:"flat" (Array.make width 1.) in
+    let config =
+      {
+        stream_config with
+        Stream.method_name = "equi-width-reopt";
+        budget_words = 16;
+        segments = 1;
+      }
+    in
+    let t = Stream.create ~config ds in
+    let batch = Array.init 16 (fun j -> (1 + (j * 7 mod width), 0.5)) in
+    ignore (Stream.ingest t batch);
+    let before = Gc.minor_words () in
+    ignore (Stream.ingest t batch);
+    Gc.minor_words () -. before
+  in
+  let narrow = words 64 and wide = words 65536 in
+  if abs_float (wide -. narrow) > 8. then
+    Alcotest.failf "ingest allocates %.0f words at width 65536 vs %.0f at 64" wide narrow
+
 let () =
   Alcotest.run "stream"
     [
@@ -1014,6 +1229,10 @@ let () =
           Alcotest.test_case "ingest validation" `Quick
             test_stream_ingest_validation;
           Alcotest.test_case "ingest seam" `Quick test_stream_ingest_seam;
+          Alcotest.test_case "random histories vs a plain model (bit-exact)" `Quick
+            test_stream_model_twins;
+          Alcotest.test_case "ingest allocation is flat in segment width" `Quick
+            test_stream_ingest_alloc_flat;
         ] );
       ( "durability",
         [
@@ -1025,6 +1244,12 @@ let () =
           Alcotest.test_case "torn WAL tail" `Quick test_stream_torn_wal_tail;
           Alcotest.test_case "manifest fuzz" `Quick test_stream_manifest_fuzz;
           Alcotest.test_case "kill -9 after ack" `Quick test_stream_kill9_after_ack;
+          Alcotest.test_case "replay refuses a position outside its segment" `Quick
+            test_replay_refuses_outside_segment;
+          Alcotest.test_case "replay refuses a non-finite result" `Quick
+            test_replay_refuses_non_finite;
+          Alcotest.test_case "replay refuses a negative result" `Quick
+            test_replay_refuses_negative;
         ] );
       ( "rolling",
         [ Alcotest.test_case "rolling window" `Quick test_rolling_window ] );
