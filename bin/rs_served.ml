@@ -43,7 +43,10 @@ let data_arg =
   Arg.(value & opt (some string) None & info [ "d"; "data" ] ~docv:"DATA" ~doc)
 
 let jobs_arg =
-  let doc = "Evaluation worker domains (1 = strictly sequential)." in
+  let doc =
+    "Accepted for compatibility and must be >= 1; serving evaluates every \
+     range on the coordinator whatever its value."
+  in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let queue_arg =
@@ -51,33 +54,13 @@ let queue_arg =
   Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
 
 let cache_arg =
-  let doc = "Answer-cache capacity (the stale rung's reach; 0 disables)." in
+  let doc = "LRU answer-cache capacity (the stale rung's reach; 0 disables)." in
   Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N" ~doc)
-
-let cache_policy_arg =
-  let doc =
-    "Answer-cache eviction policy: $(b,lru) (default) or $(b,fifo) (the \
-     insertion-order twin).  Both are deterministic; answers are \
-     byte-identical either way."
-  in
-  Arg.(
-    value
-    & opt (enum [ ("lru", Rs_serve.Cache.Lru); ("fifo", Rs_serve.Cache.Fifo) ])
-        Rs_serve.Cache.Lru
-    & info [ "cache-policy" ] ~docv:"POLICY" ~doc)
-
-let no_batch_arg =
-  let doc =
-    "Evaluate the exact rung with the per-range estimator loop instead of \
-     the vectorized batch kernel (the determinism twin; responses are \
-     byte-identical, only slower)."
-  in
-  Arg.(value & flag & info [ "no-batch-eval" ] ~doc)
 
 let deadline_arg =
   let doc =
-    "Default per-request deadline in milliseconds, applied to queries that \
-     carry none of their own."
+    "Default per-request deadline in milliseconds (finite and > 0), applied \
+     to queries that carry none of their own."
   in
   Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
 
@@ -86,16 +69,37 @@ let stale_threshold_arg =
     "Staleness demotion threshold: once a stream-backed synopsis has \
      absorbed more than this much absolute ingest mass since its last \
      rebuild, its answers are flagged stale and their construction-time \
-     RMSE bound is withheld.  Defaults to the threshold recorded in the \
-     store's stream manifest."
+     RMSE bound is withheld (finite and >= 0).  Defaults to the threshold \
+     recorded in the store's stream manifest."
   in
   Arg.(
     value
     & opt (some float) None
     & info [ "stale-threshold" ] ~docv:"MASS" ~doc)
 
-let serve store socket stdio data jobs queue cache cache_policy no_batch
-    deadline_ms stale_threshold =
+(* Server.create names a bad setting by its config field; the operator
+   set it by flag. *)
+let flag_of_field =
+  [
+    ("default_deadline_ms", "--deadline-ms");
+    ("stale_threshold", "--stale-threshold");
+    ("cache_capacity", "--cache");
+  ]
+
+let name_flag = function
+  | Error.Invalid_input msg as e -> (
+      match
+        List.find_opt
+          (fun (field, _) -> String.starts_with ~prefix:field msg)
+          flag_of_field
+      with
+      | Some (field, flag) ->
+          let rest = String.length field in
+          Error.Invalid_input (flag ^ String.sub msg rest (String.length msg - rest))
+      | None -> e)
+  | e -> e
+
+let serve store socket stdio data jobs queue cache deadline_ms stale_threshold =
   match
     Error.guard (fun () ->
         if jobs < 1 then
@@ -114,16 +118,13 @@ let serve store socket stdio data jobs queue cache cache_policy no_batch
           {
             (Server.default_config ~store_dir:store) with
             Server.dataset;
-            jobs;
             queue_capacity = queue;
             cache_capacity = cache;
-            cache_policy;
-            batch_eval = not no_batch;
             default_deadline_ms = deadline_ms;
             stale_threshold;
           }
         in
-        let server = Error.get (Server.create config) in
+        let server = Error.get (Result.map_error name_flag (Server.create config)) in
         Fun.protect ~finally:(fun () -> Server.close server) @@ fun () ->
         if stdio then Daemon.run_stdio server
         else
@@ -152,8 +153,7 @@ let main_cmd =
     (Cmd.info "rs_served" ~version:"1.0.0" ~doc ~exits)
     Term.(
       const serve $ store_arg $ socket_arg $ stdio_arg $ data_arg $ jobs_arg
-      $ queue_arg $ cache_arg $ cache_policy_arg $ no_batch_arg $ deadline_arg
-      $ stale_threshold_arg)
+      $ queue_arg $ cache_arg $ deadline_arg $ stale_threshold_arg)
 
 (* Same environment contract as rs_cli and the bench: RS_LOG selects
    the log level (unknown values warn, naming the accepted set),

@@ -109,8 +109,6 @@ let sse ds t =
   in
   Q.sse (Dataset.prefix ds) ~parts:(query_parts t) ~intra
 
-let sse_sweep ds t = Q.sse_sweep (Dataset.prefix ds) (query_parts t)
-
 let to_string t =
   let buf = Buffer.create 1024 in
   Printf.bprintf buf "rs-segmented 1\nn %d\nsegments %d\n" t.n

@@ -68,9 +68,6 @@ val sse : Dataset.t -> t -> float
     decomposition: O(n) for every lowered per-segment representation
     (intra terms via {!Synopsis.sse}), never the O(n²) sweep. *)
 
-val sse_sweep : Dataset.t -> t -> float
-(** The O(n²) brute-force twin of {!sse}. *)
-
 val to_string : t -> string
 (** Canonical byte rendering (header + per-part exact totals in [%h] +
     each part's {!Codec} v2 encoding).  Two segmented synopses are

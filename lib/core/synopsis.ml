@@ -38,9 +38,9 @@ let quantile t ~q =
 
 (* Full-SSE evaluation prefers the O(n) closed forms whenever the
    synopsis lowers to one; the O(n²) sweep remains only for rounded
-   histograms (Opaque).  [sse_sweep] is the brute-force twin the test
-   suite checks the fast paths against.  One lowering pass serves both
-   the SSE and the prefix vector ([prefix_and_sse]). *)
+   histograms (Opaque).  The test suite checks the fast paths against
+   [Error.sse_all_ranges] over {!estimator}.  One lowering pass serves
+   both the SSE and the prefix vector ([prefix_and_sse]). *)
 type lowered =
   | Lowered of H.lowering  (* a shared-prefix wavelet lowers to [Prefix_form] *)
   | Two_sided of { right : float array; left : float array }
@@ -62,8 +62,6 @@ let sse_lowered ds t lowered =
   | Two_sided { right; left } -> Error.sse_two_sided_form p ~right ~left
 
 let sse ds t = sse_lowered ds t (lower t)
-
-let sse_sweep ds t = Error.sse_all_ranges (Dataset.prefix ds) (estimator t)
 
 let prefix_and_sse ?dataset t =
   let lowered = lower t in

@@ -42,12 +42,9 @@ val sse : Dataset.t -> t -> float
     a prefix-form, two-sided or piecewise closed form (all wavelet
     synopses and all non-rounded histograms — see
     {!Rs_histogram.Histogram.lowering}); falls back to the O(n²)
-    enumeration only for rounded histograms. *)
-
-val sse_sweep : Dataset.t -> t -> float
-(** The O(n²) enumeration ({!Rs_query.Error.sse_all_ranges}),
-    unconditionally — the brute-force twin of {!sse}.  The test suite
-    checks [sse = sse_sweep] for every representation. *)
+    enumeration only for rounded histograms.  The test suite checks it
+    against {!Rs_query.Error.sse_all_ranges} over {!estimator} for
+    every representation. *)
 
 val prefix_vector : t -> float array option
 (** [Some Ĉ] when every answer is [Ĉ[b] − Ĉ[a−1]]: [Avg]-representation

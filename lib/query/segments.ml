@@ -92,5 +92,3 @@ let sse p ~parts ~intra =
     p1_tail := !p1_tail +. p1.(i)
   done;
   Array.fold_left ( +. ) !cross intra
-
-let sse_sweep p parts = Error.sse_all_ranges p (estimator parts)

@@ -24,8 +24,8 @@
     suffix errors, [PP_j/P1_j] those of segment [j]'s prefix errors and
     [w] the widths.  {!sse} evaluates this in O(n + S) estimator calls
     — the segmented continuation of the PR-4 O(n) SSE lowerings — and
-    is twinned against the brute-force {!sse_sweep} by the test
-    suite. *)
+    is checked against the brute-force {!Error.sse_all_ranges} over
+    {!estimator} by the test suite. *)
 
 type part = {
   width : int;  (** segment width [w ≥ 1] *)
@@ -50,7 +50,3 @@ val sse : Rs_util.Prefix.t -> parts:part array -> intra:float array -> float
     here from suffix/prefix error moments in O(n) estimator calls plus
     O(S) combination.  [Invalid_argument] if the widths don't sum to
     the prefix table's [n] or [intra] has the wrong length. *)
-
-val sse_sweep : Rs_util.Prefix.t -> part array -> float
-(** The O(n²) brute-force twin: {!Error.sse_all_ranges} over
-    {!estimator}. *)

@@ -1,4 +1,4 @@
-type policy = Lru | Fifo
+type policy = Lru
 
 type 'v node = {
   key : string;
@@ -8,7 +8,6 @@ type 'v node = {
 }
 
 type 'v t = {
-  policy : policy;
   capacity : int;
   table : (string, 'v node) Hashtbl.t;
   mutable oldest : 'v node option;
@@ -16,10 +15,9 @@ type 'v t = {
   mutable length : int;
 }
 
-let create ~policy ~capacity =
+let create ~policy:Lru ~capacity =
   if capacity < 0 then invalid_arg "Cache.create: negative capacity";
   {
-    policy;
     capacity;
     table = Hashtbl.create (max 16 capacity);
     oldest = None;
@@ -27,7 +25,6 @@ let create ~policy ~capacity =
     length = 0;
   }
 
-let policy t = t.policy
 let capacity t = t.capacity
 let length t = t.length
 
@@ -61,9 +58,7 @@ let find t key =
   match Hashtbl.find_opt t.table key with
   | None -> None
   | Some node ->
-      (* LRU: a hit refreshes recency; FIFO: age is insertion order
-         only, exactly the Queue semantics the server shipped with. *)
-      if t.policy = Lru then touch t node;
+      touch t node;
       Some node.value
 
 let mem t key = Hashtbl.mem t.table key
@@ -80,11 +75,9 @@ let put t key value =
   if t.capacity > 0 then
     match Hashtbl.find_opt t.table key with
     | Some node ->
-        (* Overwrite in place.  FIFO keeps the original insertion slot
-           (the old Hashtbl+Queue path never re-queued a live key);
-           LRU treats the write as a touch. *)
+        (* Overwrite in place; the write counts as a touch. *)
         node.value <- value;
-        if t.policy = Lru then touch t node
+        touch t node
     | None ->
         if t.length >= t.capacity then evict_oldest t;
         let node = { key; value; prev = None; next = None } in

@@ -1,24 +1,19 @@
-(** The hash-indexed answer cache: O(1) lookup and insert under either
-    eviction policy.
+(** The hash-indexed LRU answer cache: O(1) lookup, insert and evict.
 
     A hash table keyed by the request's cache key points into an
-    intrusive doubly-linked recency list.  [Lru] (the serving default)
-    moves a node to the fresh end on every hit and overwrite; [Fifo]
-    keeps pure insertion order — bit-for-bit the semantics of the
-    Hashtbl+Queue cache PR 7 shipped, kept as the determinism twin
-    (the LRU-vs-FIFO twin tests replay identical request sequences
-    through both).
-
-    Eviction is deterministic under both policies: the same operation
-    sequence always produces the same resident set, so stale-rung
-    replays and restart-determinism probes stay byte-identical
-    whichever policy a server runs.
+    intrusive doubly-linked recency list; a hit or an overwrite moves
+    the node to the fresh end, and inserting a fresh key at capacity
+    evicts the least recently used one.  Eviction is deterministic: the
+    same operation sequence always produces the same resident set, so
+    stale-rung replays and restart-determinism probes stay
+    byte-identical.  [test_serve.ml] pins it against a list-based LRU
+    model.
 
     The cache holds whatever the server feeds it — and the server only
     ever feeds *exact* answers (a bound answer must never displace a
     cached exact answer); that invariant lives in [Server], not here. *)
 
-type policy = Lru | Fifo
+type policy = Lru
 
 type 'v t
 
@@ -26,21 +21,19 @@ val create : policy:policy -> capacity:int -> 'v t
 (** [capacity = 0] disables the cache ({!put} is a no-op).  Raises
     [Invalid_argument] on negative capacity. *)
 
-val policy : 'v t -> policy
 val capacity : 'v t -> int
 val length : 'v t -> int
 
 val find : 'v t -> string -> 'v option
-(** O(1).  Under [Lru] a hit refreshes the entry's recency; under
-    [Fifo] lookups never affect eviction order. *)
+(** O(1).  A hit refreshes the entry's recency. *)
 
 val mem : 'v t -> string -> bool
-(** O(1), never affects recency (either policy). *)
+(** O(1), never affects recency. *)
 
 val put : 'v t -> string -> 'v -> unit
-(** O(1).  Overwriting a live key keeps the resident set unchanged
-    ([Fifo]: original insertion slot; [Lru]: refreshed).  Inserting a
-    fresh key at capacity evicts the oldest entry first. *)
+(** O(1).  Overwriting a live key refreshes it and keeps the resident
+    set unchanged.  Inserting a fresh key at capacity evicts the least
+    recently used entry first. *)
 
 val keys_oldest_first : 'v t -> string list
 (** The resident keys in eviction order (oldest first) — test/debug

@@ -70,5 +70,4 @@ val probe_cookied :
     drain the queue.  Returns immediate replies in push order followed
     by queued responses in FIFO order, each tagged with the asking
     cookie.  Two servers on the same store must return byte-identical
-    lists for the same interleaving, whatever their [jobs],
-    [batch_eval] or [cache_policy] settings. *)
+    lists for the same interleaving. *)

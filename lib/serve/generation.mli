@@ -85,5 +85,5 @@ val size : t -> int
 
 val mark_staleness : t -> name:string -> dirty:float -> stale:bool -> unit
 (** Update the named entry's staleness metadata (no-op for unknown
-    names).  Coordinator-only: called by the server at load and after
-    each ingest, never from pool workers. *)
+    names).  Called by the server's one domain at load and after each
+    ingest. *)

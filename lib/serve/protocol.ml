@@ -998,72 +998,13 @@ type response =
   | Reloaded of { generation : int; entries : int; quarantined : int }
   | Shutdown_ack
 
-(* The AST rendering of a response — [None] for [Metrics_report], whose
-   report is spliced in verbatim rather than re-encoded.  This is the
-   determinism twin for [encode_response_into]: the fuzzers check the
-   direct writer's bytes equal [json_to_string (response_json r)]. *)
-let response_json = function
-  | Pong -> Some (Obj [ ("ok", Bool true); ("op", Str "ping") ])
-  | Shutdown_ack -> Some (Obj [ ("ok", Bool true); ("op", Str "shutdown") ])
-  | Metrics_report _ -> None
-  | Reloaded { generation; entries; quarantined } ->
-      Some
-        (Obj
-           [
-             ("ok", Bool true);
-             ("op", Str "reload");
-             ("generation", Num (float_of_int generation));
-             ("entries", Num (float_of_int entries));
-             ("quarantined", Num (float_of_int quarantined));
-           ])
-  | Answers { id; generation; rung; estimates; rmse_bound; stale } ->
-      let fields =
-        [ ("ok", Bool true); ("op", Str "query") ]
-        @ (match id with Some id -> [ ("id", Str id) ] | None -> [])
-        @ [
-            ("generation", Num (float_of_int generation));
-            ("rung", Str (rung_to_string rung));
-            ( "estimates",
-              Arr (Array.to_list (Array.map (fun x -> Num x) estimates)) );
-          ]
-        @ (match rmse_bound with
-          | Some b -> [ ("rmse_bound", Num b) ]
-          | None -> [])
-        @ if stale then [ ("stale", Bool true) ] else []
-      in
-      Some (Obj fields)
-  | Ingested { id; synopsis; applied; dirty; stale } ->
-      let fields =
-        [ ("ok", Bool true); ("op", Str "ingest") ]
-        @ (match id with Some id -> [ ("id", Str id) ] | None -> [])
-        @ [
-            ("synopsis", Str synopsis);
-            ("applied", Num (float_of_int applied));
-            ("dirty", Num dirty);
-            ("stale", Bool stale);
-          ]
-      in
-      Some (Obj fields)
-  | Refused { id; refusal; message; retry_after_ms } ->
-      let fields =
-        [ ("ok", Bool false) ]
-        @ (match id with Some id -> [ ("id", Str id) ] | None -> [])
-        @ [
-            ("error", Str (refusal_to_string refusal)); ("message", Str message);
-          ]
-        @
-        match retry_after_ms with
-        | Some ms -> [ ("retry_after_ms", Num ms) ]
-        | None -> []
-      in
-      Some (Obj fields)
-
-(* Direct writer: emits the exact bytes [json_to_string (response_json r)]
-   would, without building the AST — once [buf] has grown to fit, the
-   steady-state encode path allocates nothing.  Field order and float encoding
-   are contractual (restart/jobs-parity tests compare whole response
-   lines), so every branch here mirrors [response_json] field for
-   field. *)
+(* Direct writer: emits the exact bytes that rendering the response as
+   a [json] tree with [json_to_string] would, without building the tree
+   — once [buf] has grown to fit, the steady-state encode path allocates
+   nothing.  Field order and float encoding are contractual (restart
+   determinism tests compare whole response lines); test_serve.ml
+   checks every branch here, field for field, against an oracle that
+   renders the response's AST. *)
 let encode_response_into buf = function
   | Pong -> Buffer.add_string buf "{\"ok\":true,\"op\":\"ping\"}"
   | Shutdown_ack -> Buffer.add_string buf "{\"ok\":true,\"op\":\"shutdown\"}"

@@ -176,13 +176,9 @@ val encode_response_into : Buffer.t -> response -> unit
     {!encode_response} returns to [buf] (which the server reuses across
     requests).  Does not clear [buf] and adds no trailing newline.
     Once [buf] has grown to fit, encoding an [Answers] reply whose
-    numbers lie in the libc-free range above allocates nothing. *)
-
-val response_json : response -> json option
-(** The AST rendering of a response — the determinism twin for
-    {!encode_response_into}: when [Some j], [json_to_string j] is
-    byte-identical to the direct writer's output.  [None] only for
-    [Metrics_report], whose report object is spliced in verbatim. *)
+    numbers lie in the libc-free range above allocates nothing.
+    [test_serve.ml] checks its bytes against an oracle that builds the
+    response as a {!json} tree and renders it with {!json_to_string}. *)
 
 val decode_response : string -> (response, string) result
 (** Inverse of {!encode_response} (used by clients, tests and the chaos

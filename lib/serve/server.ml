@@ -3,7 +3,6 @@ module Faults = Rs_util.Faults
 module Governor = Rs_util.Governor
 module Metrics = Rs_util.Metrics
 module Trace = Rs_util.Trace
-module Pool = Rs_util.Pool
 module Backoff = Rs_core.Supervisor.Backoff
 module P = Protocol
 
@@ -12,20 +11,16 @@ let log_src = Logs.Src.create "rs.serve" ~doc:"rs_serve request pipeline"
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* Chunked evaluation granularity: the exact rung polls its governor
-   once per [chunk] ranges — the serving twin of the DP engines'
-   [parallel_chunk].  A constant, never a function of [jobs], so
-   poll counts (and hence poll-budget degradations) are identical for
-   every job count. *)
+   once per [chunk] ranges — the serving counterpart of the DP engines'
+   [parallel_chunk].  A constant, so poll counts (and hence poll-budget
+   degradations) depend on the request alone. *)
 let chunk = 64
 
 type config = {
   store_dir : string;
   dataset : Rs_core.Dataset.t option;
-  jobs : int;
   queue_capacity : int;
   cache_capacity : int;
-  cache_policy : Cache.policy;
-  batch_eval : bool;
   default_deadline_ms : float option;
   backoff : Backoff.policy;
   stale_threshold : float option;
@@ -37,11 +32,8 @@ let default_config ~store_dir =
   {
     store_dir;
     dataset = None;
-    jobs = 1;
     queue_capacity = 64;
     cache_capacity = 256;
-    cache_policy = Cache.Lru;
-    batch_eval = true;
     default_deadline_ms = None;
     backoff = Backoff.default;
     stale_threshold = None;
@@ -55,7 +47,6 @@ type t = {
   config : config;
   mutable gen : Generation.t;
   mutable next_gen_id : int;
-  pool : Pool.t option;  (** [Some] iff [jobs > 1] *)
   queue : (cookie * P.request) Queue.t;
   cache : cached Cache.t;
   scratch : Buffer.t;
@@ -106,8 +97,7 @@ let h_request_alloc =
    daemon resumes the stream (replaying the WAL, so deltas acked before
    a crash are already folded back in) and routes [ingest] requests
    through it.  All of this is coordinator-only state, exactly like the
-   cache: pool workers never see the stream, the WAL, or the staleness
-   metadata. *)
+   cache. *)
 
 let resume_stream dir =
   match
@@ -148,7 +138,25 @@ let mirror_staleness config gen stream =
             ~dirty ~stale:(dirty > th))
         (Rs_core.Stream.staleness stream)
 
+(* Settings a client cannot override are checked here, at start-up: a
+   bad default deadline would otherwise surface as a [bad_request] on
+   every deadline-less query, and a NaN would silently disable the
+   deadline or the staleness demotion. *)
+let check_config config =
+  let bad fmt = Printf.ksprintf (fun m -> Error (Error.Invalid_input m)) fmt in
+  match config with
+  | { default_deadline_ms = Some ms; _ }
+    when not (Float.is_finite ms && ms > 0.) ->
+      bad "default_deadline_ms must be finite and > 0 (got %g)" ms
+  | { stale_threshold = Some th; _ } when not (Float.is_finite th && th >= 0.)
+    ->
+      bad "stale_threshold must be finite and >= 0 (got %g)" th
+  | { cache_capacity; _ } when cache_capacity < 0 ->
+      bad "cache_capacity must be >= 0 (got %d)" cache_capacity
+  | _ -> Ok ()
+
 let create config =
+  Result.bind (check_config config) @@ fun () ->
   match
     Generation.load ?dataset:config.dataset ~gen_id:1 config.store_dir
   with
@@ -168,19 +176,14 @@ let create config =
           config;
           gen;
           next_gen_id = 2;
-          pool =
-            (if config.jobs > 1 then Some (Pool.create ~jobs:config.jobs ())
-             else None);
           queue = Queue.create ();
-          cache =
-            Cache.create ~policy:config.cache_policy
-              ~capacity:config.cache_capacity;
+          cache = Cache.create ~policy:Cache.Lru ~capacity:config.cache_capacity;
           scratch = Buffer.create 512;
           stream;
           draining = false;
         }
 
-let close t = Option.iter Pool.shutdown t.pool
+let close (_ : t) = ()
 let generation t = t.gen
 let stream t = t.stream
 let draining t = t.draining
@@ -234,18 +237,13 @@ let refusal_of_error ?id e =
 
 (* {2 The ladder} *)
 
-let eval_exact t gov ~entry ~ranges ~out =
-  (* One governor poll per chunk of 64 ranges, on the coordinator.
-     Expiry returns [false]: the caller falls to the stale floor.
-     [Checkpoint_due] is a plain Continue — serving never snapshots;
-     a request is retried, not resumed.
-
-     The default path answers each chunk through the vectorized
-     [Batch] plan; [batch_eval = false] keeps the per-range
-     [Synopsis.estimate] loop as the determinism twin (the two are
-     contractually bit-identical — test_batch pins it).  Pool workers
-     run the pure per-range kernel only: plans are immutable and
-     worker-safe, and the poll cadence is unchanged either way. *)
+let eval_exact gov ~entry ~ranges ~out =
+  (* One governor poll per chunk of 64 ranges, on the coordinator, and
+     the chunk answered through the entry's vectorized [Batch] plan
+     (test_batch pins it against [Synopsis.estimate]).  Expiry returns
+     [false]: the caller falls to the stale floor.  [Checkpoint_due] is
+     a plain Continue — serving never snapshots; a request is retried,
+     not resumed. *)
   let n = Array.length ranges in
   let expired = ref false in
   let lo = ref 0 in
@@ -254,43 +252,20 @@ let eval_exact t gov ~entry ~ranges ~out =
     | Governor.Expired _ -> expired := true
     | Governor.Continue | Governor.Checkpoint_due ->
         let hi = min n (!lo + chunk) - 1 in
-        (match t.pool with
-        | Some pool when not (Faults.any_armed ()) ->
-            let body =
-              if t.config.batch_eval then fun i ->
-                let a, b = ranges.(i) in
-                out.(i) <- Rs_query.Batch.eval_one entry.Generation.plan ~a ~b
-              else fun i ->
-                let a, b = ranges.(i) in
-                out.(i) <- Rs_core.Synopsis.estimate entry.Generation.syn ~a ~b
-            in
-            Pool.run pool ~lo:!lo ~hi body
-        | _ ->
-            if t.config.batch_eval then
-              Rs_query.Batch.eval entry.Generation.plan ~ranges ~lo:!lo ~hi ~out
-            else
-              for i = !lo to hi do
-                let a, b = ranges.(i) in
-                out.(i) <- Rs_core.Synopsis.estimate entry.Generation.syn ~a ~b
-              done);
+        Rs_query.Batch.eval entry.Generation.plan ~ranges ~lo:!lo ~hi ~out;
         lo := hi + 1
   done;
   not !expired
 
-let eval_bound t gov ~prefix ~ranges ~out =
+let eval_bound gov ~prefix ~ranges ~out =
   (* The boundary-estimate rung: one poll for the whole batch, then
      O(1) per range off the precomputed prefix vector. *)
   match Governor.poll gov with
   | Governor.Expired _ -> false
   | Governor.Continue | Governor.Checkpoint_due ->
-      if t.config.batch_eval then
-        Rs_query.Batch.eval_prefix ~prefix ~ranges ~lo:0
-          ~hi:(Array.length ranges - 1)
-          ~out
-      else
-        Array.iteri
-          (fun i (a, b) -> out.(i) <- prefix.(b) -. prefix.(a - 1))
-          ranges;
+      Rs_query.Batch.eval_prefix ~prefix ~ranges ~lo:0
+        ~hi:(Array.length ranges - 1)
+        ~out;
       true
 
 (* How many polls the exact rung needs for [n] ranges. *)
@@ -399,7 +374,7 @@ let answer_query t ~id ~synopsis ~ranges ~deadline_ms ~poll_budget =
             let attempt_exact =
               fits_exact || entry.Generation.prefix = None
             in
-            if attempt_exact && eval_exact t gov ~entry ~ranges ~out then
+            if attempt_exact && eval_exact gov ~entry ~ranges ~out then
               answer P.Exact out
             else
               let fits_bound =
@@ -409,7 +384,7 @@ let answer_query t ~id ~synopsis ~ranges ~deadline_ms ~poll_budget =
               in
               match entry.Generation.prefix with
               | Some prefix
-                when fits_bound && eval_bound t gov ~prefix ~ranges ~out ->
+                when fits_bound && eval_bound gov ~prefix ~ranges ~out ->
                   answer P.Bound out
               | _ ->
                   let expiry =

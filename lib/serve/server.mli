@@ -4,12 +4,14 @@
 
     This module is transport-free — {!Daemon} feeds it lines from a
     Unix socket, tests and the bench feed it lines directly.  It is
-    {e coordinator-only}: one domain owns the server and calls every
-    function here; the evaluation {!Rs_util.Pool} (when [jobs > 1])
-    runs pure per-range bodies whose only effect is writing distinct
-    cells of the result array — governor polls, fault seams,
-    metrics and cache updates all stay on the coordinator, at chunk
-    barriers, exactly like the DP engines.
+    {e coordinator-only}: one domain owns the server, calls every
+    function here and evaluates every range itself.  The exact rung
+    answers each 64-range chunk through the entry's vectorized
+    {!Rs_query.Batch} plan between governor polls, and the bound rung
+    answers through {!Rs_query.Batch.eval_prefix}; tests pin both
+    against [Synopsis.estimate] and the prefix arithmetic.  A chunk is
+    about a microsecond of work, far below what handing it to a worker
+    domain would cost.
 
     {2 Admission and the ladder}
 
@@ -55,43 +57,38 @@ type config = {
   store_dir : string;
   dataset : Rs_core.Dataset.t option;
       (** enables per-answer RMSE bounds (see {!Generation}) *)
-  jobs : int;  (** evaluation parallelism; [1] = strictly sequential *)
   queue_capacity : int;  (** pending queries beyond this are shed *)
-  cache_capacity : int;  (** answer-cache entries *)
-  cache_policy : Cache.policy;
-      (** answer-cache eviction policy: [Lru] (default) or [Fifo] (the
-          PR 7 semantics, kept as the determinism twin) *)
-  batch_eval : bool;
-      (** [true] (default) answers the [exact]/[bound] rungs through
-          the vectorized {!Rs_query.Batch} plans; [false] keeps the
-          per-range [Synopsis.estimate] loop as the determinism twin.
-          Response bytes are contractually identical either way. *)
+  cache_capacity : int;  (** LRU answer-cache entries; [0] disables *)
   default_deadline_ms : float option;
-      (** applied when a query carries no deadline of its own *)
+      (** applied when a query carries no deadline of its own; finite
+          and [> 0] *)
   backoff : Rs_core.Supervisor.Backoff.policy;
       (** drives [retry_after_ms] hints on [Overloaded] refusals —
           deterministic per [attempt], so a well-behaved client
           performs capped exponential backoff without coordination *)
   stale_threshold : float option;
       (** demotion threshold: an entry whose mirrored ingest mass
-          exceeds this answers [stale]-flagged.  [None] (default) uses
-          the stream manifest's own threshold *)
+          exceeds this answers [stale]-flagged; finite and [>= 0].
+          [None] (default) uses the stream manifest's own threshold *)
 }
 
 val default_config : store_dir:string -> config
-(** [jobs = 1], [queue_capacity = 64], [cache_capacity = 256] under
-    [Lru], [batch_eval = true], no default deadline,
+(** [queue_capacity = 64], [cache_capacity = 256], no default deadline,
     {!Rs_core.Supervisor.Backoff.default}, no threshold override. *)
 
 type t
 
 val create : config -> (t, Rs_util.Error.t) result
-(** Load generation 1 (self-healing: see {!Generation.load}) and start
-    the evaluation pool.  [Error] only when the OS refuses the store
-    directory. *)
+(** Load generation 1 (self-healing: see {!Generation.load}).  [Error]
+    when the OS refuses the store directory, or [Invalid_input] when a
+    setting is out of range: [default_deadline_ms] not finite and
+    [> 0], [stale_threshold] not finite and [>= 0], or
+    [cache_capacity < 0].  That message starts with the field's name. *)
 
 val close : t -> unit
-(** Shut the evaluation pool down.  The server must not be used after. *)
+(** Releases nothing: the server runs no worker domains and its
+    generations hold no file handles.  Callers still pair it with
+    {!create}. *)
 
 val generation : t -> Generation.t
 (** The live generation (answers cite its [gen_id]). *)

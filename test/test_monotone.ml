@@ -9,7 +9,7 @@
    under the cost function and require the totals to agree.
 
    Fast-path twins: Synopsis.sse (prefix/two-sided/piecewise closed
-   forms) must equal Synopsis.sse_sweep (the O(n²) enumeration) for
+   forms) must equal [sse_sweep] below (the O(n²) enumeration) for
    every synopsis representation the builder can produce.
 
    Certification matters: a hardcoded instance shows the D&C engine
@@ -28,6 +28,9 @@ module Dataset = Rs_core.Dataset
 module Builder = Rs_core.Builder
 module Synopsis = Rs_core.Synopsis
 module Qerr = Rs_query.Error
+
+(* The brute-force SSE: every range enumerated through the estimator. *)
+let sse_sweep ds s = Qerr.sse_all_ranges (Dataset.prefix ds) (Synopsis.estimator s)
 
 (* --- sorted-instance generator --- *)
 
@@ -383,7 +386,7 @@ let prop_fastpath_equals_sweep =
               Alcotest.failf "%s: %s" m (Error.to_string e)
           | Ok { Builder.synopsis; _ } ->
               let fast = Synopsis.sse ds synopsis in
-              let slow = Synopsis.sse_sweep ds synopsis in
+              let slow = sse_sweep ds synopsis in
               let ok = Helpers.close ~tol:1e-8 fast slow in
               if not ok then
                 Printf.eprintf "%s: fast %.17g sweep %.17g\n" m fast slow;
@@ -516,7 +519,7 @@ let test_rounded_is_opaque () =
   (* and the dispatch still measures it correctly, via the sweep *)
   let ds = Dataset.of_floats [| 1.; 4.; 2.; 8.; 5.; 7. |] in
   Helpers.check_close ~tol:1e-9 "opaque sse"
-    (Synopsis.sse_sweep ds (Synopsis.Histogram rounded))
+    (sse_sweep ds (Synopsis.Histogram rounded))
     (Synopsis.sse ds (Synopsis.Histogram rounded))
 
 let test_prefix_vector_surface () =
@@ -536,7 +539,7 @@ let test_prefix_vector_surface () =
       | Some d ->
           Helpers.check_close ~tol:1e-8
             (m ^ " prefix vector")
-            (Synopsis.sse_sweep ds (get m))
+            (sse_sweep ds (get m))
             (Qerr.sse_prefix_form p d))
     (* opt-a-rounded rounds its DP value grid, not its answers, so its
        output is a plain Avg histogram and keeps the vector *)

@@ -76,7 +76,8 @@ let test_sse_decomposition_twin () =
           let t = Seg.make ds plan syns in
           check_close
             (Printf.sprintf "%s x%d segments" method_name segments)
-            (Seg.sse ds t) (Seg.sse_sweep ds t))
+            (Seg.sse ds t)
+            (Rs_query.Error.sse_all_ranges (Dataset.prefix ds) (Seg.estimator t)))
         [ "a0"; "sap0"; "equi-width"; "topbb" ])
     [ 1; 2; 3; 7 ]
 

@@ -82,17 +82,16 @@ let make_store dir =
   copy_tree (Lazy.force fixture_base) dir;
   Store.open_dir dir
 
-let config ?(queue = 16) ?(cache = 64) ?(jobs = 1) ?dataset dir =
+let config ?(queue = 16) ?(cache = 64) ?dataset dir =
   {
     (Server.default_config ~store_dir:dir) with
     Server.dataset;
-    jobs;
     queue_capacity = queue;
     cache_capacity = cache;
   }
 
-let with_server ?queue ?cache ?jobs ?dataset dir f =
-  let server = Error.get (Server.create (config ?queue ?cache ?jobs ?dataset dir)) in
+let with_server ?queue ?cache ?dataset dir f =
+  let server = Error.get (Server.create (config ?queue ?cache ?dataset dir)) in
   Fun.protect ~finally:(fun () -> Server.close server) (fun () -> f server)
 
 let query ?id ?deadline_ms ?poll_budget ?(attempt = 1) ~synopsis ranges =
@@ -577,6 +576,68 @@ let test_number_fast_path_twin () =
       | Ok _ -> Alcotest.failf "parser accepted %S" s)
     [ "+5"; ".5"; "-.5"; "-"; "--1"; "1-2"; "1e"; "0x10"; "1e999"; "1.2.3" ]
 
+(* The oracle for the direct response writer: the response built as a
+   [json] tree — [None] for [Metrics_report], whose report is spliced in
+   verbatim rather than re-encoded.  The writer's bytes must equal
+   [json_to_string] of this tree. *)
+let response_json (r : P.response) : P.json option =
+  let open P in
+  match r with
+  | Pong -> Some (Obj [ ("ok", Bool true); ("op", Str "ping") ])
+  | Shutdown_ack -> Some (Obj [ ("ok", Bool true); ("op", Str "shutdown") ])
+  | Metrics_report _ -> None
+  | Reloaded { generation; entries; quarantined } ->
+      Some
+        (Obj
+           [
+             ("ok", Bool true);
+             ("op", Str "reload");
+             ("generation", Num (float_of_int generation));
+             ("entries", Num (float_of_int entries));
+             ("quarantined", Num (float_of_int quarantined));
+           ])
+  | Answers { id; generation; rung; estimates; rmse_bound; stale } ->
+      let fields =
+        [ ("ok", Bool true); ("op", Str "query") ]
+        @ (match id with Some id -> [ ("id", Str id) ] | None -> [])
+        @ [
+            ("generation", Num (float_of_int generation));
+            ("rung", Str (rung_to_string rung));
+            ( "estimates",
+              Arr (Array.to_list (Array.map (fun x -> Num x) estimates)) );
+          ]
+        @ (match rmse_bound with
+          | Some b -> [ ("rmse_bound", Num b) ]
+          | None -> [])
+        @ if stale then [ ("stale", Bool true) ] else []
+      in
+      Some (Obj fields)
+  | Ingested { id; synopsis; applied; dirty; stale } ->
+      let fields =
+        [ ("ok", Bool true); ("op", Str "ingest") ]
+        @ (match id with Some id -> [ ("id", Str id) ] | None -> [])
+        @ [
+            ("synopsis", Str synopsis);
+            ("applied", Num (float_of_int applied));
+            ("dirty", Num dirty);
+            ("stale", Bool stale);
+          ]
+      in
+      Some (Obj fields)
+  | Refused { id; refusal; message; retry_after_ms } ->
+      let fields =
+        [ ("ok", Bool false) ]
+        @ (match id with Some id -> [ ("id", Str id) ] | None -> [])
+        @ [
+            ("error", Str (refusal_to_string refusal)); ("message", Str message);
+          ]
+        @
+        match retry_after_ms with
+        | Some ms -> [ ("retry_after_ms", Num ms) ]
+        | None -> []
+      in
+      Some (Obj fields)
+
 let test_encoder_direct_vs_ast () =
   (* The direct response writer must emit byte-for-byte what rendering
      response_json's AST would — over responses that stress every
@@ -650,7 +711,7 @@ let test_encoder_direct_vs_ast () =
   for i = 1 to 500 do
     let r = rand_response () in
     let direct = P.encode_response r in
-    match P.response_json r with
+    match response_json r with
     | None -> Alcotest.failf "response_json None on a non-metrics response (%d)" i
     | Some j ->
         Alcotest.(check string)
@@ -659,7 +720,7 @@ let test_encoder_direct_vs_ast () =
   (* the metrics splice is the one deliberate exception *)
   Alcotest.(check bool)
     "metrics report has no AST twin" true
-    (P.response_json (P.Metrics_report "{}") = None);
+    (response_json (P.Metrics_report "{}") = None);
   Alcotest.(check string)
     "metrics report splices verbatim"
     "{\"ok\":true,\"op\":\"metrics\",\"report\":{\"a\":1}}"
@@ -1128,78 +1189,53 @@ let test_cache_eviction_pins () =
   Cache.put c "a" 10;
   Alcotest.(check (list string)) "lru overwrite refreshes" [ "c"; "d"; "a" ] (keys c);
   Alcotest.(check (option int)) "overwrite value" (Some 10) (Cache.find c "a");
-  (* FIFO: pure insertion order (the PR 7 Hashtbl+Queue semantics) *)
-  let f = Cache.create ~policy:Cache.Fifo ~capacity:3 in
-  Cache.put f "a" 1;
-  Cache.put f "b" 2;
-  Cache.put f "c" 3;
-  ignore (Cache.find f "a");
-  Cache.put f "d" 4;
-  Alcotest.(check (list string)) "fifo ignores hits" [ "b"; "c"; "d" ] (keys f);
-  Cache.put f "b" 20;
-  Alcotest.(check (list string)) "fifo overwrite keeps its slot" [ "b"; "c"; "d" ] (keys f);
-  Alcotest.(check (option int)) "fifo overwrite value" (Some 20) (Cache.find f "b");
-  Cache.put f "e" 5;
-  Alcotest.(check (list string)) "fifo evicts the original slot" [ "c"; "d"; "e" ] (keys f);
   (* capacity 0 disables; negative capacity is a caller bug *)
   let z = Cache.create ~policy:Cache.Lru ~capacity:0 in
   Cache.put z "a" 1;
   Alcotest.(check int) "capacity 0 holds nothing" 0 (Cache.length z);
   Alcotest.(check bool) "capacity 0 find misses" true (Cache.find z "a" = None);
-  match Cache.create ~policy:Cache.Fifo ~capacity:(-1) with
+  match Cache.create ~policy:Cache.Lru ~capacity:(-1) with
   | exception Invalid_argument _ -> ()
   | (_ : int Cache.t) -> Alcotest.fail "negative capacity accepted"
 
-let test_cache_policy_twins () =
-  (* Replay random op sequences against a reference model per policy:
-     the FIFO model is exactly the PR 7 semantics, the LRU model the
-     textbook recency list. *)
+let test_cache_lru_model () =
+  (* Replay a random op sequence against the textbook recency list. *)
   let rng = Rng.create 0xCAC4E in
   let keyspace = Array.init 12 (Printf.sprintf "k%d") in
-  List.iter
-    (fun policy ->
-      let cap = 4 in
-      let c = Cache.create ~policy ~capacity:cap in
-      let model = ref [] (* (key, value), oldest first *) in
-      let drop k = List.filter (fun (k', _) -> k' <> k) !model in
-      let model_find k =
-        match List.assoc_opt k !model with
-        | None -> None
-        | Some v ->
-            if policy = Cache.Lru then model := drop k @ [ (k, v) ];
-            Some v
-      in
-      let model_put k v =
-        if List.mem_assoc k !model then
-          if policy = Cache.Lru then model := drop k @ [ (k, v) ]
-          else
-            model :=
-              List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) !model
-        else begin
-          if List.length !model >= cap then model := List.tl !model;
-          model := !model @ [ (k, v) ]
-        end
-      in
-      let name = match policy with Cache.Lru -> "lru" | Cache.Fifo -> "fifo" in
-      for step = 1 to 600 do
-        let k = keyspace.(Rng.int rng (Array.length keyspace)) in
-        (match Rng.int rng 3 with
-        | 0 ->
-            model_put k step;
-            Cache.put c k step
-        | 1 ->
-            if model_find k <> Cache.find c k then
-              Alcotest.failf "%s step %d: find %s diverged" name step k
-        | _ ->
-            if List.mem_assoc k !model <> Cache.mem c k then
-              Alcotest.failf "%s step %d: mem %s diverged" name step k);
-        if List.map fst !model <> Cache.keys_oldest_first c then
-          Alcotest.failf "%s step %d: eviction order diverged" name step
-      done;
-      Alcotest.(check bool)
-        (name ^ " reached capacity") true
-        (Cache.length c = cap))
-    [ Cache.Lru; Cache.Fifo ]
+  let cap = 4 in
+  let c = Cache.create ~policy:Cache.Lru ~capacity:cap in
+  let model = ref [] (* (key, value), oldest first *) in
+  let drop k = List.filter (fun (k', _) -> k' <> k) !model in
+  let model_find k =
+    match List.assoc_opt k !model with
+    | None -> None
+    | Some v ->
+        model := drop k @ [ (k, v) ];
+        Some v
+  in
+  let model_put k v =
+    if List.mem_assoc k !model then model := drop k @ [ (k, v) ]
+    else begin
+      if List.length !model >= cap then model := List.tl !model;
+      model := !model @ [ (k, v) ]
+    end
+  in
+  for step = 1 to 600 do
+    let k = keyspace.(Rng.int rng (Array.length keyspace)) in
+    (match Rng.int rng 3 with
+    | 0 ->
+        model_put k step;
+        Cache.put c k step
+    | 1 ->
+        if model_find k <> Cache.find c k then
+          Alcotest.failf "step %d: find %s diverged" step k
+    | _ ->
+        if List.mem_assoc k !model <> Cache.mem c k then
+          Alcotest.failf "step %d: mem %s diverged" step k);
+    if List.map fst !model <> Cache.keys_oldest_first c then
+      Alcotest.failf "step %d: eviction order diverged" step
+  done;
+  Alcotest.(check bool) "reached capacity" true (Cache.length c = cap)
 
 (* --- Generation loading ------------------------------------------------ *)
 
@@ -1774,20 +1810,6 @@ let test_seams_refuse_typed () =
       Alcotest.(check bool) (seam ^ " disarms") true (a.rung = P.Exact))
     [ "serve.decode"; "serve.admit"; "serve.evaluate" ]
 
-(* --- Parallel evaluation ----------------------------------------------- *)
-
-let test_jobs_parity () =
-  with_tmp_dir @@ fun dir ->
-  let (_ : Store.t) = make_store dir in
-  let lines =
-    List.map
-      (fun (name, _, _) -> query ~synopsis:name (many_ranges 150))
-      fixture_methods
-  in
-  let seq = Chaos.probe (config ~jobs:1 ~dataset:paper dir) ~lines in
-  let par = Chaos.probe (config ~jobs:3 ~dataset:paper dir) ~lines in
-  List.iter2 (Alcotest.(check string) "jobs=1 vs jobs=3 bit-identical") seq par
-
 (* --- Restart determinism ----------------------------------------------- *)
 
 let probe_lines =
@@ -1806,33 +1828,6 @@ let test_restart_identical_answers () =
      new one opens the same store *)
   let second = Chaos.probe (config ~dataset:paper dir) ~lines:probe_lines in
   List.iter2 (Alcotest.(check string) "restart serves identical bytes") first second
-
-let test_batch_twin_identical_bytes () =
-  (* The vectorized batch kernel, the per-range estimator loop, and
-     both cache policies are contractually byte-identical on the wire. *)
-  with_tmp_dir @@ fun dir ->
-  let (_ : Store.t) = make_store dir in
-  let lines =
-    probe_lines
-    @ [
-        query ~id:"p5" ~synopsis:"wave" (many_ranges 80);
-        query ~id:"p6" ~synopsis:"opta" (many_ranges 1);
-        query ~id:"p7" ~synopsis:"sap1" ~poll_budget:5 (many_ranges 130);
-      ]
-  in
-  let base = Chaos.probe (config ~dataset:paper dir) ~lines in
-  let twin =
-    Chaos.probe
-      { (config ~dataset:paper dir) with Server.batch_eval = false }
-      ~lines
-  in
-  List.iter2 (Alcotest.(check string) "batch on/off byte-identical") base twin;
-  let fifo =
-    Chaos.probe
-      { (config ~dataset:paper dir) with Server.cache_policy = Cache.Fifo }
-      ~lines
-  in
-  List.iter2 (Alcotest.(check string) "lru/fifo byte-identical") base fifo
 
 let cookied_lines =
   (* three requests per connection over four connections, round-robin
@@ -1871,21 +1866,97 @@ let test_interleaved_restart_determinism () =
             "id prefix matches the asking cookie"
             (Printf.sprintf "c%d-" c) (String.sub id 0 3)
       | _ -> Alcotest.failf "expected an answer on cookie %d, got %S" c l)
-    first;
-  (* the twin knobs change nothing on the wire, whatever the interleaving *)
-  List.iter
-    (fun (what, cfg) ->
-      let other = run cfg in
-      List.iter2
-        (fun (c1, l1) (c2, l2) ->
-          Alcotest.(check int) (what ^ " twin cookie order") c1 c2;
-          Alcotest.(check string) (what ^ " twin bytes identical") l1 l2)
-        first other)
-    [
-      ("batch-off", { (config ~dataset:paper dir) with Server.batch_eval = false });
-      ("fifo", { (config ~dataset:paper dir) with Server.cache_policy = Cache.Fifo });
-      ("jobs=3", config ~jobs:3 ~dataset:paper dir);
+    first
+
+(* The wire answers against independent oracles.  Every exact estimate
+   must carry the bits of [Synopsis.estimate] on the generation's entry,
+   every bound estimate those of [prefix.(b) -. prefix.(a-1)] off its
+   prefix vector, and every stale reply must be byte-equal to the exact
+   reply it replays, relabelled.  Together with test_batch's kernel
+   pins, this is what keeps the batch plans honest on the serving path. *)
+let oracle_lines =
+  probe_lines
+  @ [
+      query ~id:"p5" ~synopsis:"wave" (many_ranges 80);
+      query ~id:"p6" ~synopsis:"opta" (many_ranges 1);
+      query ~id:"p7" ~synopsis:"sap1" ~poll_budget:5 (many_ranges 130);
+      (* a budget of 1 expires at admission: replays of p2 and p5 *)
+      query ~id:"p8" ~synopsis:"sap1" ~poll_budget:1 [ (1, 127) ];
+      query ~id:"p9" ~synopsis:"wave" ~poll_budget:1 (many_ranges 80);
     ]
+
+let test_answers_match_oracles () =
+  with_tmp_dir @@ fun dir ->
+  let (_ : Store.t) = make_store dir in
+  let gen = Error.get (Generation.load ~dataset:paper ~gen_id:1 dir) in
+  let bits_equal what want got =
+    Array.iteri
+      (fun i w ->
+        if Int64.bits_of_float w <> Int64.bits_of_float got.(i) then
+          Alcotest.failf "%s: estimate %d is %h, oracle %h" what i got.(i) w)
+      want
+  in
+  let requests = Hashtbl.create 32 in
+  List.iter
+    (fun line ->
+      match P.decode_request line with
+      | Ok (P.Query { id = Some id; synopsis; ranges; _ }) ->
+          Hashtbl.replace requests id (synopsis, ranges)
+      | _ -> Alcotest.failf "not a query with an id: %S" line)
+    (oracle_lines @ List.map snd cookied_lines);
+  let seen = Hashtbl.create 3 in
+  (* Replies in serving order; [exact] remembers each key's exact reply
+     so a later stale replay can be checked against it. *)
+  let check_run replies =
+    let exact = Hashtbl.create 16 in
+    List.iter
+      (fun line ->
+        match decode line with
+        | P.Answers { id = Some id; generation; rung; estimates; _ } -> (
+            let synopsis, ranges = Hashtbl.find requests id in
+            let entry = Option.get (Generation.find gen synopsis) in
+            Hashtbl.replace seen rung ();
+            match rung with
+            | P.Exact ->
+                bits_equal (id ^ " exact")
+                  (Array.map
+                     (fun (a, b) -> Synopsis.estimate entry.Generation.syn ~a ~b)
+                     ranges)
+                  estimates;
+                Hashtbl.replace exact (synopsis, ranges) (generation, estimates)
+            | P.Bound ->
+                let prefix = Option.get entry.Generation.prefix in
+                bits_equal (id ^ " bound")
+                  (Array.map (fun (a, b) -> prefix.(b) -. prefix.(a - 1)) ranges)
+                  estimates
+            | P.Stale -> (
+                match Hashtbl.find_opt exact (synopsis, ranges) with
+                | None -> Alcotest.failf "%s: stale reply with no exact reply before it" id
+                | Some (generation, estimates) ->
+                    Alcotest.(check string)
+                      (id ^ " replays the exact reply")
+                      (P.encode_response
+                         (P.Answers
+                            {
+                              id = Some id;
+                              generation;
+                              rung = P.Stale;
+                              estimates;
+                              rmse_bound = None;
+                              stale = false;
+                            }))
+                      line))
+        | _ -> Alcotest.failf "expected an answer with an id, got %S" line)
+      replies
+  in
+  check_run (Chaos.probe (config ~dataset:paper dir) ~lines:oracle_lines);
+  check_run
+    (List.map snd (Chaos.probe_cookied (config ~dataset:paper dir) ~lines:cookied_lines));
+  List.iter
+    (fun rung ->
+      Alcotest.(check bool)
+        (P.rung_to_string rung ^ " rung checked") true (Hashtbl.mem seen rung))
+    [ P.Exact; P.Bound; P.Stale ]
 
 (* --- Request-cadence observability and the allocation gate ------------- *)
 
@@ -2302,12 +2373,86 @@ let test_stdio_line_bound () =
       "last line without newline" [ ack; want_q ]
       (run_stdio_daemon dir (ping ^ "\n" ^ q))
 
-(* --- The chaos soak ---------------------------------------------------- *)
+(* --- Start-up settings ------------------------------------------------- *)
 
-let run_soak ~jobs ~seed =
+(* A setting no client can override is refused when the server starts,
+   naming it: in-process by its config field, through rs_served by its
+   flag (exit 2).  A bad default deadline would otherwise blame every
+   deadline-less client with a bad_request, and a NaN would silently
+   switch the deadline or the staleness demotion off. *)
+let bad_settings =
+  let deadline ms c = { c with Server.default_deadline_ms = Some ms } in
+  let threshold th c = { c with Server.stale_threshold = Some th } in
+  [
+    ("default_deadline_ms", [ "--deadline-ms"; "0" ], deadline 0.);
+    ("default_deadline_ms", [ "--deadline-ms=-5" ], deadline (-5.));
+    ("default_deadline_ms", [ "--deadline-ms"; "nan" ], deadline nan);
+    ("default_deadline_ms", [ "--deadline-ms"; "inf" ], deadline infinity);
+    ("stale_threshold", [ "--stale-threshold"; "nan" ], threshold nan);
+    ("stale_threshold", [ "--stale-threshold=-1" ], threshold (-1.));
+    ("cache_capacity", [ "--cache=-1" ], fun c -> { c with Server.cache_capacity = -1 });
+  ]
+
+let test_bad_settings_refused () =
   with_tmp_dir @@ fun dir ->
   let (_ : Store.t) = make_store dir in
-  Chaos.soak ~requests:250 ~seed (config ~queue:4 ~cache:64 ~jobs ~dataset:paper dir)
+  List.iter
+    (fun (field, args, set) ->
+      let what = String.concat " " args in
+      (match Server.create (set (config dir)) with
+      | Error (Error.Invalid_input msg) ->
+          Alcotest.(check bool)
+            (what ^ ": message names " ^ field)
+            true
+            (String.starts_with ~prefix:field msg)
+      | Error e -> Alcotest.failf "%s: wrong error %s" what (Error.to_string e)
+      | Ok server ->
+          Server.close server;
+          Alcotest.failf "%s: server started" what);
+      if Sys.file_exists served_exe then begin
+        let err = Filename.concat dir "stderr" in
+        let fd_err =
+          Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+        in
+        let fd_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+        let pid =
+          Unix.create_process served_exe
+            (Array.of_list ([ served_exe; "--store"; dir; "--stdio" ] @ args))
+            fd_in Unix.stdout fd_err
+        in
+        Unix.close fd_in;
+        Unix.close fd_err;
+        let status = snd (Unix.waitpid [] pid) in
+        let ic = open_in_bin err in
+        let message = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        Alcotest.(check bool) (what ^ ": exit 2") true (status = Unix.WEXITED 2);
+        let flag = List.hd (String.split_on_char '=' (List.hd args)) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: stderr names %s (%S)" what flag message)
+          true
+          (String.starts_with ~prefix:("rs_serve: " ^ flag ^ " ") message)
+      end)
+    bad_settings;
+  (* the boundaries themselves are accepted *)
+  let edge =
+    {
+      (config dir) with
+      Server.default_deadline_ms = Some 1e-3;
+      stale_threshold = Some 0.;
+      cache_capacity = 0;
+    }
+  in
+  match Server.create edge with
+  | Ok server -> Server.close server
+  | Error e -> Alcotest.failf "boundary settings refused: %s" (Error.to_string e)
+
+(* --- The chaos soak ---------------------------------------------------- *)
+
+let run_soak ~seed =
+  with_tmp_dir @@ fun dir ->
+  let (_ : Store.t) = make_store dir in
+  Chaos.soak ~requests:250 ~seed (config ~queue:4 ~cache:64 ~dataset:paper dir)
 
 let check_soak outcome =
   if outcome.Chaos.violations <> [] then
@@ -2322,20 +2467,20 @@ let check_soak outcome =
   nonzero "injection" outcome.Chaos.injected;
   nonzero "reloads" outcome.Chaos.reloads
 
-let test_chaos_soak () = check_soak (run_soak ~jobs:1 ~seed:0xC4A05)
+let test_chaos_soak () = check_soak (run_soak ~seed:0xC4A05)
 
-let test_chaos_soak_parallel () = check_soak (run_soak ~jobs:2 ~seed:0x5EED5)
+let test_chaos_soak_second_seed () = check_soak (run_soak ~seed:0x5EED5)
 
 let test_chaos_soak_multiclient () =
   with_tmp_dir @@ fun dir ->
   let (_ : Store.t) = make_store dir in
   check_soak
     (Chaos.soak ~requests:250 ~clients:3 ~seed:0xC4A05
-       (config ~queue:4 ~cache:64 ~jobs:1 ~dataset:paper dir))
+       (config ~queue:4 ~cache:64 ~dataset:paper dir))
 
 let test_chaos_bound_rung_reached () =
   (* at least one seed must exercise the bound rung too *)
-  let o = run_soak ~jobs:1 ~seed:0xB0B0 in
+  let o = run_soak ~seed:0xB0B0 in
   if o.Chaos.violations <> [] then
     Alcotest.failf "soak violations: %s" (String.concat "\n" o.Chaos.violations);
   Alcotest.(check bool) "bound rung exercised" true (o.Chaos.bound > 0)
@@ -2369,8 +2514,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "eviction-order pins" `Quick test_cache_eviction_pins;
-          Alcotest.test_case "lru/fifo vs reference models" `Quick
-            test_cache_policy_twins;
+          Alcotest.test_case "lru vs reference model" `Quick test_cache_lru_model;
         ] );
       ( "generation",
         [
@@ -2437,14 +2581,12 @@ let () =
         ] );
       ( "seams",
         [ Alcotest.test_case "typed injected refusals" `Quick test_seams_refuse_typed ] );
-      ( "parallel",
-        [ Alcotest.test_case "jobs=1 vs jobs=3 parity" `Quick test_jobs_parity ] );
       ( "restart",
         [
           Alcotest.test_case "in-process restart determinism" `Quick
             test_restart_identical_answers;
-          Alcotest.test_case "batch/cache twins byte-identical" `Quick
-            test_batch_twin_identical_bytes;
+          Alcotest.test_case "answers match the estimator oracles" `Quick
+            test_answers_match_oracles;
           Alcotest.test_case "interleaved multi-connection determinism" `Quick
             test_interleaved_restart_determinism;
           Alcotest.test_case "socket daemon kill -9 and restart" `Quick
@@ -2455,13 +2597,15 @@ let () =
       ( "chaos",
         [
           Alcotest.test_case "soak (250 requests, jobs=1)" `Quick test_chaos_soak;
-          Alcotest.test_case "soak (250 requests, jobs=2)" `Quick
-            test_chaos_soak_parallel;
+          Alcotest.test_case "soak (250 requests, seed 0x5EED5)" `Quick
+            test_chaos_soak_second_seed;
           Alcotest.test_case "soak (250 requests, 3 connections)" `Quick
             test_chaos_soak_multiclient;
           Alcotest.test_case "bound rung reached" `Quick
             test_chaos_bound_rung_reached;
         ] );
+      ( "settings",
+        [ Alcotest.test_case "bad settings refused at start-up" `Quick test_bad_settings_refused ] );
       ( "framing",
         [
           Alcotest.test_case "newline scan vs byte loop" `Quick test_find_newline_twin;
