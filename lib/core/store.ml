@@ -11,10 +11,16 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let manifest_kind = "rs-store-manifest-v1"
 let manifest_file = "MANIFEST"
-let build_manifest_kind = "rs-build-manifest-v1"
-let build_manifest_file = "BUILD"
-let stream_manifest_kind = "rs-stream-state-v1"
-let stream_manifest_file = "STREAM"
+
+(* The side manifests beside MANIFEST; see [save_manifest]. *)
+type manifest = Build | Stream
+
+let manifest_file_of = function Build -> "BUILD" | Stream -> "STREAM"
+
+let manifest_kind_of = function
+  | Build -> "rs-build-manifest-v1"
+  | Stream -> "rs-stream-state-v1"
+
 let wal_file = "WAL"
 let quarantine_dir = "quarantine"
 let entry_ext = ".rs"
@@ -42,8 +48,8 @@ let dir t = t.dir
 let valid_name name =
   name <> ""
   && name <> manifest_file
-  && name <> build_manifest_file
-  && name <> stream_manifest_file
+  && name <> manifest_file_of Build
+  && name <> manifest_file_of Stream
   && name <> wal_file
   && String.for_all
        (function
@@ -82,7 +88,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let manifest_path t = Filename.concat t.dir manifest_file
+let store_manifest_path t = Filename.concat t.dir manifest_file
 
 let manifest_body entries =
   let buf = Buffer.create 256 in
@@ -91,11 +97,11 @@ let manifest_body entries =
     entries;
   Buffer.contents buf
 
-let save_manifest t =
+let save_store_manifest t =
   Faults.trip "store.manifest";
   t.entries <-
     List.sort (fun (a, _) (b, _) -> String.compare a b) t.entries;
-  Checkpoint.save ~path:(manifest_path t) ~kind:manifest_kind
+  Checkpoint.save ~path:(store_manifest_path t) ~kind:manifest_kind
     (manifest_body t.entries)
 
 let parse_manifest ~path body =
@@ -140,7 +146,7 @@ let rebuild_entries t =
 let open_dir dir =
   mkdir_p dir;
   let t = { dir; entries = []; wal_next = None } in
-  let path = manifest_path t in
+  let path = store_manifest_path t in
   (if Sys.file_exists path then
      match Checkpoint.load ~path ~kind:manifest_kind with
      | Ok body -> (
@@ -148,15 +154,15 @@ let open_dir dir =
          | entries -> t.entries <- entries
          | exception Error.Rs_error _ ->
              rebuild_entries t;
-             save_manifest t)
+             save_store_manifest t)
      | Error _ ->
          (* Corrupt manifest: the entries themselves are each CRC-framed,
             so rebuild from disk rather than failing the whole store. *)
          rebuild_entries t;
-         save_manifest t
+         save_store_manifest t
    else begin
      rebuild_entries t;
-     if t.entries <> [] then save_manifest t
+     if t.entries <> [] then save_store_manifest t
    end);
   t
 
@@ -173,7 +179,7 @@ let put t ~name synopsis =
   Checkpoint.write_atomic ~path:(entry_path t name) content;
   t.entries <-
     (name, Crc32.digest content) :: List.remove_assoc name t.entries;
-  save_manifest t;
+  save_store_manifest t;
   Log.debug (fun m -> m "put %s (%d bytes)" name (String.length content))
 
 let get t ~name =
@@ -202,7 +208,7 @@ let remove t ~name =
   (try Sys.remove path with Sys_error _ -> ());
   if mem t name then begin
     t.entries <- List.remove_assoc name t.entries;
-    save_manifest t
+    save_store_manifest t
   end
 
 (* Move a damaged entry aside (never delete data that might be partially
@@ -225,60 +231,38 @@ let quarantine t file =
        (Error.Io_failure
           { path = Filename.concat t.dir file; reason = Unix.error_message e }))
 
-(* --- segmented build manifest (Rs_core.Supervisor) ---
+(* --- side manifests (Rs_core.Supervisor, Rs_core.Stream) ---
 
-   A second, independent manifest kind living beside MANIFEST in the
-   same directory: the supervisor's record of per-segment build status.
-   Same CRC framing and atomic-write discipline; a distinct [kind] tag
-   so a store manifest can never be mistaken for a build manifest.  The
-   BUILD file is invisible to entry scans ([name_of_file] wants the
-   [.rs] suffix) and reserved by [valid_name], so fsck and the entry
-   namespace cannot collide with it. *)
+   Independent CRC-framed containers beside MANIFEST in the same
+   directory: BUILD, the supervisor's per-segment build status, and
+   STREAM, the streaming checkpoint (per-segment base data, staleness
+   mass, applied WAL sequence).  Same atomic-write discipline; each has
+   its own [kind] tag, so no manifest can be mistaken for another.  The
+   files are invisible to entry scans ([name_of_file] wants the [.rs]
+   suffix) and reserved by [valid_name], so fsck and the entry
+   namespace cannot collide with them. *)
 
-let build_manifest_path t = Filename.concat t.dir build_manifest_file
+let manifest_path t m = Filename.concat t.dir (manifest_file_of m)
 
-let save_build_manifest t body =
+let save_manifest t m body =
   Faults.trip "store.manifest";
-  Metrics.count "store.build_manifests" 1;
-  Checkpoint.save ~path:(build_manifest_path t) ~kind:build_manifest_kind body
+  Metrics.count
+    (match m with
+    | Build -> "store.build_manifests"
+    | Stream -> "store.stream_manifests")
+    1;
+  Checkpoint.save ~path:(manifest_path t m) ~kind:(manifest_kind_of m) body
 
-let load_build_manifest t =
-  let path = build_manifest_path t in
+let load_manifest t m =
+  let path = manifest_path t m in
   if not (Sys.file_exists path) then Ok None
   else
-    match Checkpoint.load ~path ~kind:build_manifest_kind with
+    match Checkpoint.load ~path ~kind:(manifest_kind_of m) with
     | Ok body -> Ok (Some body)
     | Error e -> Error e
 
-let quarantine_build_manifest t =
-  let path = build_manifest_path t in
-  if Sys.file_exists path then quarantine t build_manifest_file
-
-(* --- stream state manifest (Rs_core.Stream) ---
-
-   Third manifest kind: the streaming checkpoint — per-segment base
-   data, staleness mass, and the WAL sequence each segment has folded
-   in.  Same framing/atomicity as BUILD; the STREAM file is likewise
-   reserved by [valid_name] and invisible to entry scans. *)
-
-let stream_manifest_path t = Filename.concat t.dir stream_manifest_file
-
-let save_stream_manifest t body =
-  Faults.trip "store.manifest";
-  Metrics.count "store.stream_manifests" 1;
-  Checkpoint.save ~path:(stream_manifest_path t) ~kind:stream_manifest_kind body
-
-let load_stream_manifest t =
-  let path = stream_manifest_path t in
-  if not (Sys.file_exists path) then Ok None
-  else
-    match Checkpoint.load ~path ~kind:stream_manifest_kind with
-    | Ok body -> Ok (Some body)
-    | Error e -> Error e
-
-let quarantine_stream_manifest t =
-  let path = stream_manifest_path t in
-  if Sys.file_exists path then quarantine t stream_manifest_file
+let quarantine_manifest t m =
+  if Sys.file_exists (manifest_path t m) then quarantine t (manifest_file_of m)
 
 (* --- the ingest write-ahead log ---
 
@@ -526,7 +510,7 @@ let fsck ?(reuse = fun _ _ -> None) t =
   if disk <> t.entries then dirty := true;
   if !dirty then begin
     t.entries <- disk;
-    save_manifest t
+    save_store_manifest t
   end;
   {
     ok = List.map fst disk;

@@ -72,49 +72,39 @@ val remove : t -> name:string -> unit
 (** Delete the entry and update the manifest; removing an absent entry
     is a no-op. *)
 
-(** {2 Segmented build manifest}
+(** {2 Side manifests}
 
-    {!Rs_core.Supervisor} records per-segment build status in a
-    [BUILD] file beside the store's [MANIFEST]: same
-    {!Rs_util.Checkpoint} CRC framing and atomic-write discipline, but
-    a distinct kind tag ([rs-build-manifest-v1]) so neither manifest
-    can be mistaken for the other.  The [BUILD] name is reserved (not a
-    valid entry name) and ignored by entry scans and {!fsck}. *)
+    Two CRC-framed files beside the store's [MANIFEST], each with the
+    same {!Rs_util.Checkpoint} framing and atomic-write discipline but
+    its own kind tag, so no manifest can be mistaken for another:
 
-val build_manifest_path : t -> string
+    - [BUILD] ([rs-build-manifest-v1]): {!Rs_core.Supervisor}'s
+      per-segment build status;
+    - [STREAM] ([rs-stream-state-v1]): {!Rs_core.Stream}'s checkpoint
+      of per-segment base data, staleness mass and applied WAL
+      sequence.
 
-val save_build_manifest : t -> string -> unit
-(** Atomically (re)write the build manifest with [body].  Trips the
-    ["store.manifest"] fault seam like the entry manifest; raises
+    Both names are reserved (not valid entry names) and ignored by
+    entry scans and {!fsck}. *)
+
+type manifest = Build | Stream
+
+val manifest_path : t -> manifest -> string
+
+val save_manifest : t -> manifest -> string -> unit
+(** Atomically (re)write the manifest with [body].  Trips the
+    ["store.manifest"] fault seam like the entry manifest and counts
+    [store.build_manifests] or [store.stream_manifests]; raises
     [Rs_error (Io_failure _)] on OS failure. *)
 
-val load_build_manifest : t -> (string option, Rs_util.Error.t) result
-(** [Ok None] when no build manifest exists, [Ok (Some body)] when it
-    loads and verifies, [Error (Corrupt_checkpoint _)] when the file is
-    torn or mis-kinded (callers quarantine it and start fresh — never
+val load_manifest : t -> manifest -> (string option, Rs_util.Error.t) result
+(** [Ok None] when the manifest does not exist, [Ok (Some body)] when
+    it loads and verifies, [Error (Corrupt_checkpoint _)] when the file
+    is torn or mis-kinded (callers quarantine it and start fresh — never
     brick the build), [Error (Io_failure _)] when unreadable. *)
 
-val quarantine_build_manifest : t -> unit
-(** Move a damaged build manifest into [quarantine/] (no-op when
-    absent). *)
-
-(** {2 Stream state manifest}
-
-    {!Rs_core.Stream} checkpoints its per-segment base data, staleness
-    mass, and applied WAL sequence in a [STREAM] file: the same
-    framing/atomicity as [BUILD] under its own kind tag
-    ([rs-stream-state-v1]).  Reserved name, ignored by entry scans. *)
-
-val stream_manifest_path : t -> string
-
-val save_stream_manifest : t -> string -> unit
-(** Atomically (re)write the stream manifest; trips ["store.manifest"];
-    raises [Rs_error (Io_failure _)] on OS failure. *)
-
-val load_stream_manifest : t -> (string option, Rs_util.Error.t) result
-(** Same contract as {!load_build_manifest}. *)
-
-val quarantine_stream_manifest : t -> unit
+val quarantine_manifest : t -> manifest -> unit
+(** Move a damaged manifest into [quarantine/] (no-op when absent). *)
 
 (** {2 The ingest write-ahead log}
 

@@ -203,7 +203,7 @@ let manifest_body t =
 let save_manifest t =
   match t.store with
   | None -> ()
-  | Some store -> Store.save_stream_manifest store (manifest_body t)
+  | Some store -> Store.save_manifest store Store.Stream (manifest_body t)
 
 (* Validate a whole delta batch against the data it will apply to
    before any byte is written: Dataset.of_floats requires finite
@@ -452,12 +452,12 @@ let parse_manifest ~path body =
    from the replayed data (deterministic), never trusted stale. *)
 let resume ?(options = Builder.default_options) store =
   let started = Rs_util.Mclock.now () in
-  match Store.load_stream_manifest store with
+  match Store.load_manifest store Store.Stream with
   | Error e -> Error e
   | Ok None -> Ok None
   | Ok (Some body) ->
       Error.guard (fun () ->
-          let path = Store.stream_manifest_path store in
+          let path = Store.manifest_path store Store.Stream in
           let n, method_name, budget, threshold, prefix, seg_specs =
             parse_manifest ~path body
           in

@@ -80,7 +80,7 @@ val resume :
     options.  [Error (Corrupt_checkpoint _)] on a damaged manifest, or
     naming the WAL when a CRC-valid record puts a delta outside its
     segment or drives a value non-finite or negative — quarantine via
-    {!Store.quarantine_stream_manifest} and rebuild from scratch.  Logs
+    [Store.quarantine_manifest _ Stream] and rebuild from scratch.  Logs
     one [rs.stream] info line: records and deltas replayed, and the
     time taken. *)
 

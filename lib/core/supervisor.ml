@@ -102,7 +102,7 @@ let report_lines r =
 
    The durable record of a segmented build: identity (fingerprint over
    data and parameters), the planner's grants, and per-segment status.
-   Stored through [Store.save_build_manifest], so it inherits the CRC
+   Stored through [Store.save_manifest _ Build], so it inherits the CRC
    framing and temp+fsync+rename discipline of every other durable
    byte in the system — a torn manifest fails [Checkpoint.load]'s
    checksum and is quarantined by the resume path, never trusted. *)
@@ -266,7 +266,7 @@ let build ?(options = Builder.default_options) ?(policy = Backoff.default)
     Log.warn (fun m ->
         m "build manifest unusable (%s); quarantining it and rebuilding" why);
     Metrics.count "segmented.manifest_quarantined" 1;
-    Store.quarantine_build_manifest st;
+    Store.quarantine_manifest st Store.Build;
     fresh_state ()
   in
   (* grants: per-segment words; status.(i): (delivered, retries) once
@@ -275,12 +275,12 @@ let build ?(options = Builder.default_options) ?(policy = Backoff.default)
   let grants, status, synopses, resumed_flags =
     match store with
     | Some st when resume -> (
-        match Store.load_build_manifest st with
+        match Store.load_manifest st Store.Build with
         | Ok None -> fresh_state ()
         | Error (Error.Io_failure _ as e) -> Error.raise_error e
         | Error e -> quarantine_and_restart st (Error.to_string e)
         | Ok (Some body) -> (
-            let path = Store.build_manifest_path st in
+            let path = Store.manifest_path st Store.Build in
             match parse_manifest ~path body with
             | exception Error.Rs_error (Error.Corrupt_checkpoint { reason; _ })
               ->
@@ -347,7 +347,7 @@ let build ?(options = Builder.default_options) ?(policy = Backoff.default)
   let write_manifest () =
     match store with
     | None -> ()
-    | Some st -> Store.save_build_manifest st (manifest_body ())
+    | Some st -> Store.save_manifest st Store.Build (manifest_body ())
   in
   (* Retry transient failures — injected faults and I/O errors — with
      capped exponential backoff.  [key] seeds the jitter (the segment
@@ -388,7 +388,10 @@ let build ?(options = Builder.default_options) ?(policy = Backoff.default)
         let st = Option.get store in
         Error.raise_error
           (Error.Interrupted
-             { stage = "segmented"; checkpoint = Store.build_manifest_path st })
+             {
+               stage = "segmented";
+               checkpoint = Store.manifest_path st Store.Build;
+             })
     | Governor.Expired { elapsed; deadline; reason; _ } ->
         Error.raise_error
           (Error.Timeout { stage = "segmented"; elapsed; deadline; reason })
@@ -488,7 +491,7 @@ let build ?(options = Builder.default_options) ?(policy = Backoff.default)
             (Error.Interrupted
                {
                  stage = Printf.sprintf "segmented:seg-%d" i;
-                 checkpoint = Store.build_manifest_path st;
+                 checkpoint = Store.manifest_path st Store.Build;
                })
       | Error e -> (
           match rest with
@@ -518,7 +521,7 @@ let build ?(options = Builder.default_options) ?(policy = Backoff.default)
              Faults.trip "segment.commit";
              status.(i) <- Some (delivered, !tally);
              Store.put st ~name:(seg_entry i) built.Builder.synopsis;
-             Store.save_build_manifest st (manifest_body ()));
+             Store.save_manifest st Store.Build (manifest_body ()));
          (* the committed segment subsumes its snapshot *)
          let p = seg_ckpt st i in
          if Sys.file_exists p then

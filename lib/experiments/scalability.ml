@@ -107,68 +107,3 @@ let jobs_table rows =
       rows
   in
   Text_table.render ~header body
-
-(* --- PR-8 kernel sweep: fused unboxed transitions vs the reference --- *)
-
-type kernel_row = {
-  k_kernel : string;
-  k_jobs : int;
-  k_seconds : float;
-  k_sse : float;
-  k_states : int;
-}
-
-let default_kernel_configs =
-  [ (Opt_a.Fast, 1); (Opt_a.Reference, 1); (Opt_a.Fast, 4) ]
-
-let rounded_prefix ~dataset ~x =
-  let ds = Dataset.generate dataset in
-  if x <= 1 then Dataset.prefix ds
-  else
-    let fx = float_of_int x in
-    Rs_util.Prefix.create
-      (Array.map
-         (fun v -> Float.round (v /. fx))
-         (Rs_util.Prefix.data (Dataset.prefix ds)))
-
-let run_kernels ?(dataset = "paper") ?(buckets = 8) ?(max_states = 60_000_000)
-    ?(x = 1) ?(repeats = 3) ?(configs = default_kernel_configs) () =
-  let p = rounded_prefix ~dataset ~x in
-  (* Shared UB seed, as in [run_jobs]: the timed region is exactly the
-     DP level sweep, so kernels (and job counts) compare like-for-like. *)
-  let ub = (Opt_a.build_rounded ~max_states p ~buckets ~x:8).Opt_a.sse in
-  List.map
-    (fun (kernel, jobs) ->
-      let run () = Opt_a.build_exact ~kernel ~ub ~max_states ~jobs p ~buckets in
-      (* Best-of-[repeats]: single-digit-second runs on shared machines
-         jitter ±10%; the minimum estimates the undisturbed time. *)
-      let r, first = Timing.time run in
-      let best = ref first in
-      for _ = 2 to repeats do
-        let _, s = Timing.time run in
-        if s < !best then best := s
-      done;
-      {
-        k_kernel = Opt_a.kernel_name kernel;
-        k_jobs = jobs;
-        k_seconds = !best;
-        k_sse = r.Opt_a.sse;
-        k_states = r.Opt_a.states;
-      })
-    configs
-
-let kernel_table rows =
-  let header = [ "kernel"; "jobs"; "best seconds"; "sse"; "states" ] in
-  let body =
-    List.map
-      (fun r ->
-        [
-          r.k_kernel;
-          string_of_int r.k_jobs;
-          Printf.sprintf "%.3fs" r.k_seconds;
-          Text_table.float_cell ~prec:4 r.k_sse;
-          string_of_int r.k_states;
-        ])
-      rows
-  in
-  Text_table.render ~header body

@@ -1,6 +1,6 @@
 (** Experiment S1 (extension) — construction cost and quality of the
-    polynomial-time methods as the domain grows, plus the PR-3 jobs
-    sweep measuring the level-parallel OPT-A engine.
+    polynomial-time methods as the domain grows, plus a jobs sweep
+    measuring the level-parallel OPT-A engine.
 
     The paper notes OPT-A's pseudopolynomial construction "will be
     infeasible for realistic datasets"; SAP0/SAP1/A0 (O(n²B)) and the
@@ -76,36 +76,3 @@ val speedup_vs_sequential : jobs_row list -> jobs_row -> float
 (** [t(jobs=1) / t(r.jobs)]; 1.0 when no sequential row exists. *)
 
 val jobs_table : jobs_row list -> string
-
-(** {2 Kernel sweep (PR-8 unboxed transition kernels)} *)
-
-type kernel_row = {
-  k_kernel : string;  (** {!Rs_histogram.Opt_a.kernel_name} *)
-  k_jobs : int;
-  k_seconds : float;  (** best wall time over the repeat runs *)
-  k_sse : float;  (** must be identical across kernels and job counts *)
-  k_states : int;  (** likewise *)
-}
-
-val default_kernel_configs : (Rs_histogram.Opt_a.kernel * int) list
-(** [(Fast, 1); (Reference, 1); (Fast, 4)] — the P8 comparison: fused
-    kernel vs the living baseline at [jobs = 1], plus the pool-cutover
-    check at [jobs = 4]. *)
-
-val run_kernels :
-  ?dataset:string ->
-  ?buckets:int ->
-  ?max_states:int ->
-  ?x:int ->
-  ?repeats:int ->
-  ?configs:(Rs_histogram.Opt_a.kernel * int) list ->
-  unit ->
-  kernel_row list
-(** Time exact OPT-A under each (kernel, jobs) configuration, sharing
-    one UB seed exactly like {!run_jobs} so only the DP level sweep is
-    compared.  Each configuration reports the best of [repeats]
-    (default 3) runs — the timings on small/shared hardware jitter, the
-    results never do.  Raises {!Rs_histogram.Opt_a.Too_many_states}
-    when the budget does not fit (retry with a coarser [x]). *)
-
-val kernel_table : kernel_row list -> string

@@ -201,47 +201,6 @@ let eval t ~ranges ~lo ~hi ~out =
               ~sc:suff_intercept ~ps:pref_slope ~pc:pref_intercept ranges lo hi
               out)
 
-(* The per-range twin: same arithmetic through the bounds-checked Tab
-   accessors, one range at a time — the Debug discipline for the
-   unsafe loops above (every eval workload in the suite re-runs
-   through here). *)
-let eval_one t ~a ~b =
-  match t with
-  | Two_sided { n; right; left } ->
-      if a < 1 || b < a || b > n then bad_range ~what:"Batch.eval_one" a b;
-      Tab.f1_get right b -. Tab.f1_get left (a - 1)
-  | Bucketed { n; rounded; index; bl; br; avg; cum; ends } ->
-      if a < 1 || b < a || b > n then bad_range ~what:"Batch.eval_one" a b;
-      let ka = Tab.i1_get index (a - 1) in
-      let kb = Tab.i1_get index (b - 1) in
-      let raw =
-        if ka = kb then float_of_int (b - a + 1) *. Tab.f1_get avg ka
-        else
-          let middle = Tab.f1_get cum kb -. Tab.f1_get cum (ka + 1) in
-          let left =
-            match ends with
-            | Avg_ends ->
-                let r_a = Tab.i1_get br ka in
-                float_of_int (r_a - a + 1) *. Tab.f1_get avg ka
-            | Const_ends { suff; _ } -> Tab.f1_get suff ka
-            | Affine_ends { suff_slope; suff_intercept; _ } ->
-                (Tab.f1_get suff_slope ka *. float_of_int a)
-                +. Tab.f1_get suff_intercept ka
-          in
-          let right =
-            match ends with
-            | Avg_ends ->
-                let l_b = Tab.i1_get bl kb in
-                float_of_int (b - l_b + 1) *. Tab.f1_get avg kb
-            | Const_ends { pref; _ } -> Tab.f1_get pref kb
-            | Affine_ends { pref_slope; pref_intercept; _ } ->
-                (Tab.f1_get pref_slope kb *. float_of_int b)
-                +. Tab.f1_get pref_intercept kb
-          in
-          left +. middle +. right
-      in
-      if rounded then Float.round raw else raw
-
 let eval_prefix ~prefix ~ranges ~lo ~hi ~out =
   check_span ~what:"Batch.eval_prefix" ranges ~lo ~hi ~out;
   let n = Array.length prefix - 1 in
@@ -251,8 +210,3 @@ let eval_prefix ~prefix ~ranges ~lo ~hi ~out =
     Array.unsafe_set out i
       (Array.unsafe_get prefix b -. Array.unsafe_get prefix (a - 1))
   done
-
-let eval_prefix_one ~prefix ~a ~b =
-  let n = Array.length prefix - 1 in
-  if a < 1 || b < a || b > n then bad_range ~what:"Batch.eval_prefix_one" a b;
-  prefix.(b) -. prefix.(a - 1)

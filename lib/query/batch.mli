@@ -7,9 +7,9 @@
     through {!eval} instead of calling the per-range estimator k times.
 
     Bit-identity contract: for a plan compiled from a synopsis (see
-    [Rs_core.Synopsis.batch_plan]), {!eval} and {!eval_one} reproduce
-    the per-range [estimate] arithmetic operation for operation, so the
-    answers are bit-identical — server responses are contractually
+    [Rs_core.Synopsis.batch_plan]), {!eval} reproduces the per-range
+    [estimate] arithmetic operation for operation, so the answers are
+    bit-identical — server responses are contractually
     byte-deterministic and the batch/per-range twin tests compare
     results via [Int64.bits_of_float].
 
@@ -68,18 +68,9 @@ val eval : t -> ranges:(int * int) array -> lo:int -> hi:int -> out:float array 
     inner loops use unsafe table loads, so the range guard is part of
     the loop, never skipped. *)
 
-val eval_one : t -> a:int -> b:int -> float
-(** The per-range twin: identical arithmetic through bounds-checked
-    accessors.  Twin tests sweep {!eval} workloads through this (and
-    against the synopsis' own [estimate]); it is also the Debug-side
-    discipline for the unsafe loads in {!eval}. *)
-
 val eval_prefix :
   prefix:float array -> ranges:(int * int) array -> lo:int -> hi:int -> out:float array -> unit
 (** Bound-rung batch evaluation off a per-entry prefix vector
     (length n+1): [out.(i) ← prefix.(b) −. prefix.(a−1)] — exactly the
     serving bound rung's per-range subtraction.  Same span and range
     guards as {!eval}. *)
-
-val eval_prefix_one : prefix:float array -> a:int -> b:int -> float
-(** Per-range twin of {!eval_prefix}. *)

@@ -113,7 +113,9 @@ let resume_stream dir =
       Log.warn (fun m ->
           m "stream manifest unusable (%s); serving without ingest"
             (Error.to_string e));
-      (try Rs_core.Store.quarantine_stream_manifest (Rs_core.Store.open_dir dir)
+      (try
+         Rs_core.Store.quarantine_manifest (Rs_core.Store.open_dir dir)
+           Rs_core.Store.Stream
        with _ -> ());
       None
 

@@ -220,8 +220,8 @@ let report () =
         r_histograms = List.sort by_name !hs;
       })
 
-(* Hand-rolled JSON, like the BENCH_PR*.json writers: no dependency, and
-   the output is deterministic (sorted keys, %.17g / %d scalars). *)
+(* Hand-rolled JSON: no dependency, and the output is deterministic
+   (sorted keys, %.17g / %d scalars). *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 2) in

@@ -13,9 +13,9 @@
 
    Dispatch cutover: waking the workers costs a broadcast plus two
    mutex handshakes per chunk — tens of microseconds — which dominates
-   when the chunk's own work is small (the BENCH_PR3 jobs>1 regression:
-   a one-core container time-slices the workers, so every chunk paid
-   the handshake for zero parallel speedup).  [run] therefore measures
+   when the chunk's own work is small (on one core the workers are
+   time-sliced, so every chunk would pay the handshake for zero
+   parallel speedup; jobs=4 once read 0.39x of jobs=1 that way).  [run] therefore measures
    each chunk and, in [Auto] mode, runs a chunk inline on the
    coordinator when the estimated work is below the cutover (or,
    unconditionally, when the machine has fewer than two cores).  The

@@ -3,7 +3,9 @@ module Faults = Rs_util.Faults
 module Rng = Rs_dist.Rng
 module Backoff = Rs_core.Supervisor.Backoff
 module Synopsis = Rs_core.Synopsis
-module P = Protocol
+module Server = Rs_serve.Server
+module Generation = Rs_serve.Generation
+module P = Rs_serve.Protocol
 
 type outcome = {
   requests : int;

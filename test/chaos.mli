@@ -1,7 +1,6 @@
-(** The seeded chaos harness for {!Server}: a deterministic randomized
-    request scheduler plus an invariant checker, shared by the
-    [@serve]/[@fault] test suite and the bench's G7 soak so both gates
-    enforce the same contract.
+(** The seeded chaos harness for {!Rs_serve.Server}: a deterministic
+    randomized request scheduler plus an invariant checker, used by the
+    [@serve]/[@fault] test suite (test_serve.ml).
 
     A soak drives one server through a seeded schedule of query
     requests (valid, unknown-synopsis, out-of-domain, malformed bytes),
@@ -10,7 +9,7 @@
     every serve seam — and checks, per response:
 
     - {b exactly one well-formed response per request}, decodable by
-      {!Protocol.decode_response}, correlation id echoed;
+      {!Rs_serve.Protocol.decode_response}, correlation id echoed;
     - {b no wrong answers}: [exact] estimates are recomputed from the
       server's live generation via {!Rs_core.Synopsis.estimate} and must
       match bit-for-bit; [bound] answers must match the prefix-vector
@@ -27,7 +26,7 @@
 
     Violations are collected (with the offending request/response
     pair), never raised — the caller decides whether they fail a test
-    or a bench claim. *)
+    or not. *)
 
 type outcome = {
   requests : int;  (** request lines sent (including malformed ones) *)
@@ -43,7 +42,8 @@ type outcome = {
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val soak : ?requests:int -> ?clients:int -> seed:int -> Server.config -> outcome
+val soak :
+  ?requests:int -> ?clients:int -> seed:int -> Rs_serve.Server.config -> outcome
 (** Run a fresh server through [requests] (default 200) scheduled
     request lines.  Same seed + same store contents ⇒ the same
     schedule, byte for byte.  All fault seams are disarmed on exit,
@@ -55,7 +55,7 @@ val soak : ?requests:int -> ?clients:int -> seed:int -> Server.config -> outcome
     the connection that asked} — the daemon routes responses by cookie,
     so this is the multi-client no-leak/no-loss invariant. *)
 
-val probe : Server.config -> lines:string list -> string list
+val probe : Rs_serve.Server.config -> lines:string list -> string list
 (** Create a server, serve [lines] serially, close it, and return the
     response lines — the restart-determinism primitive: run the same
     probes against a second server on the same store and compare for
@@ -63,7 +63,9 @@ val probe : Server.config -> lines:string list -> string list
     without any orderly shutdown). *)
 
 val probe_cookied :
-  Server.config -> lines:(Server.cookie * string) list -> (Server.cookie * string) list
+  Rs_serve.Server.config ->
+  lines:(Rs_serve.Server.cookie * string) list ->
+  (Rs_serve.Server.cookie * string) list
 (** The multi-connection restart-determinism primitive: push every
     [(cookie, line)] in order {e without} stepping between pushes (the
     interleaving a daemon under concurrent clients produces), then

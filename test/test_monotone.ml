@@ -587,6 +587,39 @@ let test_dp_solve_allocates_o1_per_row () =
        kernel is allocating per cell or per transition"
       delta budget rows
 
+(* What the monotone engine buys is transitions, so count them: every
+   transition is one call of the cost closure.  On a sorted n = 1023
+   instance the level engine makes ~B·n²/2 calls and the D&C engine
+   O(B·n log n) (5,695,261 against 112,853 at B = 12); pinning the
+   ratio is a deterministic stand-in for a speed comparison (no clock,
+   so no noise).  The two optima must agree as well. *)
+let test_monotone_makes_fewer_cost_calls () =
+  let ds = Dataset.generate "sorted-zipf-1023" in
+  let n = Dataset.n ds and buckets = 12 in
+  let point = Cost.point_range_weighted (Cost.make (Dataset.prefix ds)) in
+  let calls = ref 0 in
+  let cost ~l ~r =
+    incr calls;
+    point ~l ~r
+  in
+  let count solve =
+    calls := 0;
+    let r : Dp.result = solve () in
+    (!calls, r.Dp.cost)
+  in
+  let level, level_cost = count (fun () -> Dp.solve ~n ~buckets ~cost ()) in
+  let mono, mono_cost =
+    count (fun () -> Dp.solve_monotone ~n ~buckets ~cost ())
+  in
+  let scale = Float.max 1. (abs_float level_cost) in
+  if abs_float (level_cost -. mono_cost) /. scale > 1e-9 then
+    Alcotest.failf "level cost %.17g <> monotone %.17g" level_cost mono_cost;
+  if mono * 10 > level then
+    Alcotest.failf
+      "monotone engine made %d cost calls, level engine %d: expected at \
+       least 10x fewer"
+      mono level
+
 let () =
   Alcotest.run "monotone"
     ([
@@ -624,5 +657,10 @@ let () =
          [
            Alcotest.test_case "O(1) minor words per row" `Quick
              test_dp_solve_allocates_o1_per_row;
+         ] );
+       ( "transitions",
+         [
+           Alcotest.test_case "monotone makes 10x fewer cost calls" `Quick
+             test_monotone_makes_fewer_cost_calls;
          ] );
      ])

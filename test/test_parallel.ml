@@ -148,8 +148,8 @@ let test_pool_sequential_dispatch_stays_on_coordinator () =
       Alcotest.(check bool) "every index inline" false (Atomic.get strayed))
 
 let test_pool_auto_pins_inline_on_one_core () =
-  (* The BENCH_PR3 fix: on a sub-2-core machine every chunk pays the
-     worker handshake for zero parallel speedup, so auto mode never
+  (* The dispatch cutover: on a sub-2-core machine every chunk pays
+     the worker handshake for zero parallel speedup, so auto mode never
      dispatches.  Only observable where the gate actually fires. *)
   if Domain.recommended_domain_count () < 2 then begin
     let self = Domain.self () in

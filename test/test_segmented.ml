@@ -192,6 +192,27 @@ let test_greedy_follows_the_error_curve () =
   Alcotest.(check bool) "needy segment gets the most" true
     (Array.for_all (fun g -> grants.(3) >= g) grants)
 
+(* On skewed data the greedy planner must beat an equal split without
+   overspending: zipf-1024's mass sits in its first segment, where the
+   uniform grant leaves most of the SSE. *)
+let test_greedy_beats_uniform_on_skew () =
+  let ds = Dataset.generate "zipf-1024" in
+  let budget_words = 96 in
+  let build planner =
+    match
+      Sup.build ~planner ds ~method_name:"point-opt" ~budget_words ~segments:8
+    with
+    | Ok (t, _) -> t
+    | Error e -> Alcotest.failf "build: %s" (Error.to_string e)
+  in
+  let greedy = build `Greedy and uniform = build `Uniform in
+  let sse_g = Seg.sse ds greedy and sse_u = Seg.sse ds uniform in
+  if not (sse_g <= sse_u) then
+    Alcotest.failf "greedy SSE %.6g > uniform SSE %.6g" sse_g sse_u;
+  let words = Seg.storage_words greedy in
+  if words > budget_words then
+    Alcotest.failf "greedy spends %d words, budget %d" words budget_words
+
 (* --- backoff ---------------------------------------------------------- *)
 
 let test_backoff_policy () =
@@ -343,7 +364,7 @@ let test_commit_seam_is_retried () =
   let store = Store.open_dir dir in
   Alcotest.(check int) "four entries" 4 (List.length (Store.list store));
   let body =
-    match ok_or_fail (Store.load_build_manifest store) with
+    match ok_or_fail (Store.load_manifest store Store.Build) with
     | Some b -> b
     | None -> Alcotest.fail "no build manifest"
   in
@@ -530,7 +551,7 @@ let test_manifest_fuzz () =
   with_tmp_dir @@ fun dir ->
   let baseline, _ = build ~resume:false dir in
   let store = Store.open_dir dir in
-  let manifest_path = Store.build_manifest_path store in
+  let manifest_path = Store.manifest_path store Store.Build in
   let pristine = read_file manifest_path in
   let rng = Random.State.make [| 0x5e6f |] in
   let len = String.length pristine in
@@ -579,7 +600,7 @@ let test_jobs_determinism_twin () =
   let bytes4, report4 = build 4 dir4 in
   Alcotest.(check string) "synopsis bytes identical across jobs" bytes1 bytes4;
   let manifest dir =
-    match ok_or_fail (Store.load_build_manifest (Store.open_dir dir)) with
+    match ok_or_fail (Store.load_manifest (Store.open_dir dir) Store.Build) with
     | Some body -> body
     | None -> Alcotest.fail "missing build manifest"
   in
@@ -664,6 +685,8 @@ let () =
           Alcotest.test_case "invariants" `Quick test_planner_invariants;
           Alcotest.test_case "follows the error curve" `Quick
             test_greedy_follows_the_error_curve;
+          Alcotest.test_case "greedy beats uniform on skew" `Quick
+            test_greedy_beats_uniform_on_skew;
         ] );
       ( "backoff",
         [ Alcotest.test_case "cap, determinism, seeding" `Quick test_backoff_policy ] );

@@ -14,7 +14,6 @@ module Backoff = Rs_core.Supervisor.Backoff
 module P = Rs_serve.Protocol
 module Server = Rs_serve.Server
 module Generation = Rs_serve.Generation
-module Chaos = Rs_serve.Chaos
 module Daemon = Rs_serve.Daemon
 open Helpers
 

@@ -460,6 +460,46 @@ let test_stream_lifecycle () =
     (Seg.to_string (batch_twin lazy_t))
     (Seg.to_string (Stream.synopsis lazy_t))
 
+(* The stale accuracy bound: until refresh a stale segment keeps its
+   construction-time estimator while the segment totals track the
+   data, so est_stale - truth_new = (est_pre - truth_old) - (the delta
+   mass inside the range's boundary parts), and the worst error over
+   all n(n+1)/2 ranges may grow by at most the ingested |delta| mass.
+   The truth is kept in a shadow array, not read back from the stream;
+   the deltas outweigh the pre-ingest error so a sign or scale slip in
+   applying them shows. *)
+let test_stream_stale_error_bound () =
+  let ds = Dataset.generate "zipf-256" in
+  let n = Dataset.n ds in
+  let config =
+    { stream_config with Stream.budget_words = 96; segments = 8 }
+  in
+  let t = Stream.create ~config ds in
+  let max_err truth =
+    let est = Seg.estimator (Stream.synopsis t) in
+    let worst = ref 0. in
+    for a = 1 to n do
+      for b = a to n do
+        let e = Float.abs (est ~a ~b -. Prefix.range_sum truth ~a ~b) in
+        if e > !worst then worst := e
+      done
+    done;
+    !worst
+  in
+  let pre_err = max_err (Dataset.prefix ds) in
+  let rng = Rng.create 0xD17 in
+  let deltas = Array.init 96 (fun _ -> (1 + Rng.int rng n, Rng.float rng *. 40.)) in
+  ignore (Stream.ingest t deltas);
+  let shadow = Array.copy (Dataset.values ds) in
+  Array.iter (fun (i, d) -> shadow.(i - 1) <- shadow.(i - 1) +. d) deltas;
+  let mass = Array.fold_left (fun acc (_, d) -> acc +. Float.abs d) 0. deltas in
+  let stale_err = max_err (Prefix.create shadow) in
+  (* float-rounding slack only: the inequality itself is exact *)
+  let bound = (pre_err +. mass) *. (1. +. 1e-9) in
+  if not (stale_err <= bound) then
+    Alcotest.failf "stale max error %.6g > pre-ingest %.6g + |delta| mass %.6g"
+      stale_err pre_err mass
+
 let test_stream_refresh_governor () =
   let ds = Dataset.generate "zipf-64" in
   let t = Stream.create ~config:stream_config ds in
@@ -657,7 +697,7 @@ let test_stream_manifest_fuzz () =
   let ds = Dataset.generate "zipf-64" in
   let store = Store.open_dir dir in
   ignore (Stream.create ~config:stream_config ~store ds);
-  let path = Store.stream_manifest_path store in
+  let path = Store.manifest_path store Store.Stream in
   let pristine = read_file path in
   (* flip one byte inside the framed body: the CRC must catch it *)
   let corrupt = Bytes.of_string pristine in
@@ -669,13 +709,13 @@ let test_stream_manifest_fuzz () =
   | Ok _ -> Alcotest.fail "corrupt manifest accepted"
   | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e));
   (* a well-framed but semantically broken body is just as corrupt *)
-  Store.save_stream_manifest store "stream nonsense\n";
+  Store.save_manifest store Store.Stream "stream nonsense\n";
   (match Stream.resume (Store.open_dir dir) with
   | Error (Error.Corrupt_checkpoint _) -> ()
   | Ok _ -> Alcotest.fail "garbage manifest accepted"
   | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e));
   (* quarantine degrades to "no stream", never bricks the store *)
-  Store.quarantine_stream_manifest store;
+  Store.quarantine_manifest store Store.Stream;
   match ok_or_fail (Stream.resume (Store.open_dir dir)) with
   | None -> ()
   | Some _ -> Alcotest.fail "quarantined manifest still resumed"
@@ -1226,6 +1266,8 @@ let () =
           Alcotest.test_case "lifecycle + rebuild determinism" `Quick
             test_stream_lifecycle;
           Alcotest.test_case "refresh governor" `Quick test_stream_refresh_governor;
+          Alcotest.test_case "stale error within pre-ingest + |delta| mass" `Quick
+            test_stream_stale_error_bound;
           Alcotest.test_case "ingest validation" `Quick
             test_stream_ingest_validation;
           Alcotest.test_case "ingest seam" `Quick test_stream_ingest_seam;
