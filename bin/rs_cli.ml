@@ -64,55 +64,37 @@ let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc)
 
 (* --jobs N beats RS_JOBS beats 1; every count builds the same bytes,
-   so parallelism is safe to default from the environment. *)
-let env_jobs =
-  match Sys.getenv_opt "RS_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with Failure _ -> 1)
-  | None -> 1
+   so parallelism is safe to default from the environment.  A count
+   outside 1..128 (OCaml 5 runs at most 128 domains) or an RS_JOBS that
+   is not an integer is refused before any dataset is read. *)
+let max_jobs = 128
 
 let jobs_arg =
   let doc =
-    "Worker domains for the level-parallel DP engines (opt-a, sap0, sap1, \
-     point-opt).  Results are bit-identical for any value.  Defaults to \
-     $(b,RS_JOBS), falling back to 1."
+    Printf.sprintf
+      "Worker domains for the level-parallel DP engines (opt-a, \
+       opt-a-rounded, sap0, sap1, point-opt, v-optimal), 1..%d.  Results \
+       are bit-identical for any value.  Defaults to $(b,RS_JOBS), falling \
+       back to 1."
+      max_jobs
   in
-  Arg.(value & opt int env_jobs & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-(* --engine beats RS_ENGINE beats auto.  Auto only takes the monotone
-   divide-and-conquer engine when the result is provably identical to
-   the level engine's, so defaulting from the environment is safe; an
-   explicit monotone that cannot be honored is a typed error. *)
-let env_engine =
-  match Sys.getenv_opt "RS_ENGINE" with
-  | Some s -> (
-      match Rs_histogram.Dp.engine_of_string (String.trim s) with
-      | Some e -> e
-      | None -> Builder.default_options.Builder.engine)
-  | None -> Builder.default_options.Builder.engine
-
-let engine_conv =
-  let parse s =
-    match Rs_histogram.Dp.engine_of_string s with
-    | Some e -> Ok e
-    | None ->
-        Error (`Msg (Printf.sprintf "engine must be auto, monotone or level (got %S)" s))
-  in
-  Arg.conv (parse, fun fmt e -> Format.pp_print_string fmt (Rs_histogram.Dp.engine_name e))
-
-let engine_arg =
-  let doc =
-    "Interval-DP engine for the polynomial histogram methods (point-opt, \
-     v-optimal, sap0, sap1, a0, prefix-opt and their -reopt variants): \
-     $(b,auto) picks the O(n log n) monotone divide-and-conquer engine \
-     whenever the method's cost is QI-certified for the input (sorted data; \
-     never for sap0/sap1/a0) and the run is sequential and uncheckpointed, \
-     falling back to the exact quadratic-per-level engine otherwise; \
-     $(b,monotone) demands the fast engine (typed error if the certificate, \
-     --jobs or --checkpoint-dir forbid it, never a silent downgrade); \
-     $(b,level) forces the classic engine.  Defaults to $(b,RS_ENGINE), \
-     falling back to auto."
-  in
-  Arg.(value & opt engine_conv env_engine & info [ "engine" ] ~docv:"ENGINE" ~doc)
+let resolve_jobs flag =
+  let refuse msg = Error.raise_error (Error.Invalid_input msg) in
+  match flag with
+  | Some j when j >= 1 && j <= max_jobs -> j
+  | Some j -> refuse (Printf.sprintf "--jobs must be in 1..%d (got %d)" max_jobs j)
+  | None -> (
+      match Sys.getenv_opt "RS_JOBS" with
+      | None -> 1
+      | Some s -> (
+          match int_of_string_opt (String.trim s) with
+          | Some j when j >= 1 && j <= max_jobs -> j
+          | _ ->
+              refuse
+                (Printf.sprintf "RS_JOBS must be an integer in 1..%d (got %S)"
+                   max_jobs s)))
 
 let opt_a_states_arg =
   let doc =
@@ -129,18 +111,18 @@ let deadline_arg =
   in
   Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
-let options_of ?(jobs = env_jobs) ?(engine = env_engine) quick states =
+let options_of jobs quick states =
   let base =
     if quick then
       { Builder.default_options with Builder.opt_a_max_states = 2_000_000 }
     else Builder.default_options
   in
-  let base = { base with Builder.jobs = max 1 jobs; Builder.engine = engine } in
+  let base = { base with Builder.jobs = resolve_jobs jobs } in
   match states with
   | Some s -> { base with Builder.opt_a_max_states = s }
   | None -> base
 
-let options_of_quick quick = options_of quick None
+let options_of_quick quick = options_of None quick None
 
 (* Typed errors become distinct exit codes (see Rs_util.Error.exit_code);
    everything the library reports lands here as an Error.t.  [wrap_code]
@@ -299,9 +281,10 @@ let build_cmd =
     | None -> ());
     if Rs_core.Supervisor.degraded report then 6 else 0
   in
-  let run data m budget quick states jobs engine deadline save ckpt_dir resume
-      every metrics_out segments planner =
+  let run data m budget quick states jobs deadline save ckpt_dir resume every
+      metrics_out segments planner =
     wrap_code (fun () ->
+        let options = options_of jobs quick states in
         if metrics_out <> None then begin
           Rs_util.Metrics.enable ();
           Rs_util.Trace.enable ()
@@ -311,7 +294,6 @@ let build_cmd =
             if resume && ckpt_dir = None then
               Error.raise_error
                 (Error.Invalid_input "--resume requires --checkpoint-dir");
-            let options = options_of ~jobs ~engine quick states in
             run_segmented ~data ~m ~budget ~options ~deadline ~ckpt_dir ~resume
               ~every ~metrics_out ~save ~planner ~segments
         | None ->
@@ -336,7 +318,6 @@ let build_cmd =
                   (Error.Invalid_input "--resume requires --checkpoint-dir")
         in
         let ds = load_dataset data in
-        let options = options_of ~jobs ~engine quick states in
         let built, dt =
           E.Timing.time (fun () ->
               Error.get
@@ -364,7 +345,7 @@ let build_cmd =
   command "build" ~doc:"Build a synopsis and report its quality."
     Term.(
       const run $ dataset_arg $ method_arg $ budget_arg $ quick_arg
-      $ opt_a_states_arg $ jobs_arg $ engine_arg $ deadline_arg $ save_arg
+      $ opt_a_states_arg $ jobs_arg $ deadline_arg $ save_arg
       $ checkpoint_dir_arg $ resume_arg $ checkpoint_every_arg
       $ metrics_out_arg $ segments_arg $ planner_arg)
 
@@ -410,10 +391,10 @@ let query_cmd =
 (* --- evaluate --- *)
 
 let evaluate_cmd =
-  let run data methods budget quick jobs engine deadline =
+  let run data methods budget quick jobs deadline =
     wrap (fun () ->
+        let options = options_of jobs quick None in
         let ds = load_dataset data in
-        let options = options_of ~jobs ~engine quick None in
         let reports = ref [] in
         let rows =
           List.map
@@ -452,7 +433,7 @@ let evaluate_cmd =
   command "evaluate" ~doc:"Compare methods on one dataset and budget."
     Term.(
       const run $ dataset_arg $ methods_arg $ budget_arg $ quick_arg
-      $ jobs_arg $ engine_arg $ deadline_arg)
+      $ jobs_arg $ deadline_arg)
 
 (* --- experiment commands --- *)
 
@@ -462,8 +443,8 @@ let figure1_cmd =
   in
   let run data quick csv =
     wrap (fun () ->
-        let ds = load_dataset data in
         let options = options_of_quick quick in
+        let ds = load_dataset data in
         let budgets = if quick then [ 8; 16; 24 ] else E.Figure1.default_budgets in
         let rows =
           E.Figure1.run ~options ~budgets ~methods:E.Figure1.extended_methods ds
@@ -481,8 +462,8 @@ let figure1_cmd =
 let claims_cmd =
   let run data quick =
     wrap (fun () ->
-        let ds = load_dataset data in
         let options = options_of_quick quick in
+        let ds = load_dataset data in
         let budgets = if quick then [ 8; 16; 24 ] else E.Figure1.default_budgets in
         let rows =
           E.Figure1.run ~options ~budgets ~methods:E.Figure1.extended_methods ds
@@ -495,8 +476,8 @@ let claims_cmd =
 let reopt_cmd =
   let run data quick =
     wrap (fun () ->
-        let ds = load_dataset data in
         let options = options_of_quick quick in
+        let ds = load_dataset data in
         let budgets = if quick then [ 8; 16 ] else [ 8; 16; 24; 32 ] in
         let rows = E.Reopt_study.run ~options ~budgets ds in
         print_string (E.Reopt_study.table rows);
@@ -533,7 +514,7 @@ let scale_cmd =
   let run quick jobs jobs_sweep =
     wrap (fun () ->
         let ns = if quick then [ 127; 255 ] else E.Scalability.default_ns in
-        let options = options_of ~jobs quick None in
+        let options = options_of jobs quick None in
         print_string (E.Scalability.table (E.Scalability.run ~ns ~options ()));
         if jobs_sweep then begin
           let max_states = if quick then 2_000_000 else 60_000_000 in
@@ -606,8 +587,8 @@ let store_put_cmd =
   in
   let run dir name data m budget quick =
     wrap (fun () ->
-        let ds = load_dataset data in
         let options = options_of_quick quick in
+        let ds = load_dataset data in
         let built =
           Error.get
             (Builder.build_result ~options ds ~method_name:m

@@ -16,7 +16,6 @@ type options = {
   rounded_x : int;
   governor : Governor.t;
   jobs : int;
-  engine : H.Dp.engine;
 }
 
 let default_options =
@@ -26,24 +25,7 @@ let default_options =
     rounded_x = 8;
     governor = Governor.unlimited;
     jobs = 1;
-    engine = H.Dp.Auto;
   }
-
-(* Methods whose builder reaches the interval DP — the only ones for
-   which [--engine monotone] can even apply.  OPT-A's Ktbl engine and
-   the closed-form baselines/wavelets have no monotone path, so an
-   explicit request there is a typed error, not a silent no-op. *)
-let monotone_capable =
-  [
-    "point-opt";
-    "v-optimal";
-    "a0";
-    "prefix-opt";
-    "sap0";
-    "sap1";
-    "a0-reopt";
-    "point-opt-reopt";
-  ]
 
 type kind =
   | Hist of (options -> Rs_util.Prefix.t -> buckets:int -> H.Histogram.t)
@@ -79,38 +61,37 @@ let registry : (string * int * kind) list =
       2,
       Hist
         (fun o p ~buckets ->
-          H.Vopt.build ~engine:o.engine ~governor:o.governor
-            ~stage:"point-opt" ~jobs:o.jobs p ~buckets) );
+          H.Vopt.build ~governor:o.governor ~stage:"point-opt" ~jobs:o.jobs p
+            ~buckets) );
     ( "v-optimal",
       2,
       Hist
         (fun o p ~buckets ->
-          H.Vopt.build ~weighted:false ~engine:o.engine ~governor:o.governor
+          H.Vopt.build ~weighted:false ~governor:o.governor
             ~stage:"v-optimal" ~jobs:o.jobs p ~buckets) );
     ( "a0",
       2,
       Hist
         (fun o p ~buckets ->
-          H.A0.build ~engine:o.engine ~governor:o.governor ~stage:"a0" p
-            ~buckets) );
+          H.A0.build ~governor:o.governor ~stage:"a0" p ~buckets) );
     ( "prefix-opt",
       2,
       Hist
         (fun o p ~buckets ->
-          H.Prefix_opt.build ~engine:o.engine ~governor:o.governor
-            ~stage:"prefix-opt" p ~buckets) );
+          H.Prefix_opt.build ~governor:o.governor ~stage:"prefix-opt" p
+            ~buckets) );
     ( "sap0",
       3,
       Hist
         (fun o p ~buckets ->
-          H.Sap0.build ~engine:o.engine ~governor:o.governor ~stage:"sap0"
-            ~jobs:o.jobs p ~buckets) );
+          H.Sap0.build ~governor:o.governor ~stage:"sap0" ~jobs:o.jobs p
+            ~buckets) );
     ( "sap1",
       5,
       Hist
         (fun o p ~buckets ->
-          H.Sap1.build ~engine:o.engine ~governor:o.governor ~stage:"sap1"
-            ~jobs:o.jobs p ~buckets) );
+          H.Sap1.build ~governor:o.governor ~stage:"sap1" ~jobs:o.jobs p
+            ~buckets) );
     ("opt-a", 2, Hist opt_a);
     ( "opt-a-rounded",
       2,
@@ -128,8 +109,7 @@ let registry : (string * int * kind) list =
         (fun o p ~buckets ->
           reopt
             (fun p ~buckets ->
-              H.A0.build ~engine:o.engine ~governor:o.governor
-                ~stage:"a0-reopt" p ~buckets)
+              H.A0.build ~governor:o.governor ~stage:"a0-reopt" p ~buckets)
             o p ~buckets) );
     ("opt-a-reopt", 2, Hist (fun opts p ~buckets -> H.Reopt.apply p (opt_a opts p ~buckets)));
     ( "equi-width-reopt",
@@ -141,8 +121,8 @@ let registry : (string * int * kind) list =
         (fun o p ~buckets ->
           reopt
             (fun p ~buckets ->
-              H.Vopt.build ~engine:o.engine ~governor:o.governor
-                ~stage:"point-opt-reopt" p ~buckets)
+              H.Vopt.build ~governor:o.governor ~stage:"point-opt-reopt" p
+                ~buckets)
             o p ~buckets) );
     ("topbb", 2, Wave (fun data ~b -> W.top_b_data data ~b));
     ("topbb-rw", 2, Wave (fun data ~b -> W.top_b_range_weighted data ~b));
@@ -252,32 +232,6 @@ let build_result ?(options = default_options) ?deadline ?checkpoint_path
   match List.find_opt (fun (n, _, _) -> n = method_name) registry with
   | None ->
       Error.fail (Error.Unknown_method { name = method_name; known = methods })
-  | Some _
-    when options.engine = H.Dp.Monotone
-         && not (List.mem method_name monotone_capable) ->
-      Error.fail
-        (Error.Invalid_input
-           (Printf.sprintf
-              "engine \"monotone\" is not applicable to method %S (it only \
-               applies to the interval-DP methods: %s); use \"auto\" or \
-               \"level\""
-              method_name
-              (String.concat ", " monotone_capable)))
-  | Some _
-    when options.engine = H.Dp.Monotone
-         && (checkpoint_path <> None || resume_from <> None) ->
-      Error.fail
-        (Error.Invalid_input
-           "engine \"monotone\" cannot checkpoint or resume (the \
-            divide-and-conquer order leaves no completed row prefix to \
-            snapshot); drop --checkpoint-dir/--resume or use --engine level")
-  | Some _ when options.engine = H.Dp.Monotone && options.jobs > 1 ->
-      Error.fail
-        (Error.Invalid_input
-           (Printf.sprintf
-              "engine \"monotone\" is sequential-only (jobs=%d requested); \
-               drop --jobs or use --engine level"
-              options.jobs))
   | Some _
     when method_name <> "opt-a"
          && (checkpoint_path <> None || resume_from <> None) ->

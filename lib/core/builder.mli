@@ -42,17 +42,12 @@ type options = {
           (default 1 = sequential).  Reaches ["opt-a"]/["opt-a-rounded"]
           and the [Dp]-backed methods ["sap0"], ["sap1"], ["point-opt"],
           ["v-optimal"].  Results are bit-identical for every job count
-          ({!Rs_util.Pool}); the ladder's A0 floor stays sequential. *)
-  engine : Rs_histogram.Dp.engine;
-      (** interval-DP engine selection (default [Auto]) for the
-          [Dp]-backed methods.  [Auto] takes the monotone
-          divide-and-conquer engine exactly when the method's cost is
-          QI-certified for the input (sorted data for
-          ["point-opt"]/["v-optimal"]/["prefix-opt"];
-          never for ["sap0"]/["sap1"]/["a0"]), [jobs ≤ 1] and no
-          checkpoint/resume is requested — otherwise the level engine.
-          An explicit [Monotone] that cannot be honored is a typed
-          error in {!build_result}, never a silent downgrade. *)
+          ({!Rs_util.Pool}); the ladder's A0 floor stays sequential.
+          The input picks the interval-DP engine, never [jobs]: a
+          method whose cost is QI-certified for the data (sorted data
+          for ["point-opt"]/["v-optimal"]/["prefix-opt"]; never
+          ["sap0"]/["sap1"]/["a0"]) runs the sequential monotone
+          engine at any job count, every other one the level engine. *)
 }
 
 val default_options : options

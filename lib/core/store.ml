@@ -448,9 +448,6 @@ let wal_compact t ~keep =
       Checkpoint.write_atomic ~path:(wal_path t) (Buffer.contents buf);
       Metrics.count "store.wal_compactions" 1
 
-let wal_remove t =
-  try Sys.remove (wal_path t) with Sys_error _ -> ()
-
 let fsck ?(reuse = fun _ _ -> None) t =
   Trace.with_span "store.fsck" @@ fun () ->
   Metrics.count "store.fscks" 1;

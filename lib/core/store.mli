@@ -149,9 +149,6 @@ val wal_reserve_seq : t -> int -> unit
     applied — {!Stream.resume} reserves its manifest high-water mark
     here before any new append.  Never lowers the counter. *)
 
-val wal_remove : t -> unit
-(** Delete the log entirely (no-op when absent). *)
-
 val fsck :
   ?reuse:(string -> string -> Synopsis.t option) -> t -> fsck_report
 (** Repair pass: delete stray [*.tmp] files, quarantine entries that

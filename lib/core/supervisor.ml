@@ -246,7 +246,6 @@ let build ?(options = Builder.default_options) ?(policy = Backoff.default)
             options with
             Builder.governor = Governor.unlimited;
             jobs = 1;
-            engine = Rs_histogram.Dp.Auto;
           }
         sub.(seg) ~method_name:pricing_method ~budget_words:b
     in

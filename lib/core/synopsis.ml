@@ -113,9 +113,6 @@ let batch_plan t =
 
 let metrics ds t = Error.metrics_all_ranges (Dataset.prefix ds) (estimator t)
 
-let workload_sse ds w t =
-  Error.sse_of_workload (Dataset.prefix ds) w (estimator t)
-
 let describe t =
   match t with
   | Histogram h ->

@@ -68,9 +68,6 @@ val batch_plan : t -> Rs_query.Batch.t
 val metrics : Dataset.t -> t -> Rs_query.Error.metrics
 (** Full error metrics over all ranges. *)
 
-val workload_sse : Dataset.t -> Rs_query.Workload.t -> t -> float
-(** Weighted SSE over an explicit workload. *)
-
 val describe : t -> string
 (** One-line human-readable description. *)
 

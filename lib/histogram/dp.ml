@@ -17,18 +17,7 @@ let m_cells = Metrics.counter "dp.cells"
 
 type result = { cost : float; bucketing : Bucket.t }
 
-type engine = Auto | Monotone | Level
-
-let engine_name = function
-  | Auto -> "auto"
-  | Monotone -> "monotone"
-  | Level -> "level"
-
-let engine_of_string = function
-  | "auto" -> Some Auto
-  | "monotone" -> Some Monotone
-  | "level" -> Some Level
-  | _ -> None
+type engine = Auto | Level
 
 (* The [e]/[parent] matrices live in flat unboxed {!Rs_util.Tab}
    buffers (row-major, row [k] at offset [k * (n + 1)]): the transition
@@ -443,37 +432,13 @@ let solve_monotone_exact_buckets ?governor ?stage ~n ~buckets ~cost () =
 
 (* Engine selection for the decomposable methods.  [certified] is the
    method's statement that its cost carries a quadrangle-inequality
-   certificate (THEORY.md §11).  [Auto] silently falls back to the
-   level engine whenever the monotone one does not apply; an explicit
-   [Monotone] request instead fails loudly with a typed error — the
-   caller asked for an engine that would either mis-optimize
-   (uncertified cost) or drop a capability (parallelism). *)
-let use_monotone ~engine ~certified ~jobs ~stage =
-  match engine with
-  | Level -> false
-  | Auto -> certified && jobs <= 1
-  | Monotone ->
-      if not certified then
-        Rs_util.Error.raise_error
-          (Rs_util.Error.Invalid_input
-             (Printf.sprintf
-                "engine \"monotone\" rejected for stage %S: its cost has no \
-                 quadrangle-inequality certificate, so the monotone engine \
-                 could silently return a suboptimal bucketing (use \"level\" \
-                 or \"auto\")"
-                stage));
-      if jobs > 1 then
-        Rs_util.Error.raise_error
-          (Rs_util.Error.Invalid_input
-             (Printf.sprintf
-                "engine \"monotone\" rejected for stage %S: the monotone \
-                 engine is sequential-only (jobs=%d requested); use \
-                 \"level\" or \"auto\", or drop --jobs"
-                stage jobs));
-      true
+   certificate (THEORY.md §11).  A certified cost takes the monotone
+   engine whatever [jobs] is: its O(n log n) levels beat the level
+   engine's O(n²) ones at every job count this code runs at. *)
+let use_monotone ~engine ~certified = engine = Auto && certified
 
 let solve_with ?(engine = Auto) ~certified ?governor ?(stage = "dp")
     ?(jobs = 1) ~n ~buckets ~cost () =
-  if use_monotone ~engine ~certified ~jobs ~stage then
+  if use_monotone ~engine ~certified then
     solve_monotone ?governor ~stage ~n ~buckets ~cost ()
   else solve ?governor ~stage ~jobs ~n ~buckets ~cost ()

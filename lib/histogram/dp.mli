@@ -45,17 +45,10 @@ val log_src : Logs.src
     DP). *)
 
 type engine =
-  | Auto
-      (** monotone when the cost is QI-certified, [jobs ≤ 1] and no
-          checkpoint/resume is requested; level otherwise *)
-  | Monotone  (** force {!solve_monotone}; fails loudly if inapplicable *)
-  | Level  (** force the classical level engine *)
-
-val engine_name : engine -> string
-
-val engine_of_string : string -> engine option
-(** Parses ["auto"], ["monotone"], ["level"] (the [--engine]/[RS_ENGINE]
-    spellings). *)
+  | Auto  (** monotone when the cost is QI-certified, level otherwise *)
+  | Level
+      (** always the classical level engine — the reference that
+          timing comparisons and engine twins hold fixed *)
 
 val solve :
   ?governor:Rs_util.Governor.t ->
@@ -108,10 +101,11 @@ val solve_exact_buckets :
     The monotone engine is {e sequential-only and never checkpointed}:
     it fills each level in divide-and-conquer order, so there is no
     completed row prefix for a snapshot to record, and no worker pool is
-    ever involved.  Checkpoint/resume and [jobs > 1] stay on
-    {!solve}.  Both engines break ties identically (leftmost argmin), so
-    under a valid certificate they return the same bucketing, not just
-    the same cost. *)
+    ever involved.  Checkpoint/resume stays on {!solve}; {!solve_with}
+    runs a certified cost here even when [jobs > 1] (one sequential
+    O(n log n) level beats a parallel O(n²) one).  Both engines break
+    ties identically (leftmost argmin), so under a valid certificate
+    they return the same bucketing, not just the same cost. *)
 
 val solve_monotone :
   ?governor:Rs_util.Governor.t ->
@@ -139,13 +133,9 @@ val solve_monotone_exact_buckets :
   result
 (** Divide-and-conquer counterpart of {!solve_exact_buckets}. *)
 
-val use_monotone :
-  engine:engine -> certified:bool -> jobs:int -> stage:string -> bool
-(** The engine-selection predicate behind {!solve_with}: [Level] is
-    always [false]; [Auto] is [true] iff [certified && jobs ≤ 1];
-    [Monotone] is [true] but raises a typed
-    [Rs_error (Invalid_input _)] when the cost is uncertified or
-    [jobs > 1] — an explicit request never silently downgrades. *)
+val use_monotone : engine:engine -> certified:bool -> bool
+(** The engine-selection predicate behind {!solve_with}: [true] iff
+    [engine = Auto] and [certified]. *)
 
 val solve_with :
   ?engine:engine ->
@@ -159,8 +149,8 @@ val solve_with :
   unit ->
   result
 (** [solve] or [solve_monotone] according to {!use_monotone}
-    ([engine] defaults to [Auto], [jobs] to 1).  The decomposable
-    method builders ({!Vopt}, {!Sap0}, {!Sap1}, {!A0}, {!Prefix_opt})
-    all dispatch through here; [certified] is the method's own
-    statement that its cost carries a THEORY.md §11 quadrangle
-    certificate. *)
+    ([engine] defaults to [Auto], [jobs] to 1; the monotone engine
+    ignores [jobs]).  The decomposable method builders ({!Vopt},
+    {!Sap0}, {!Sap1}, {!A0}, {!Prefix_opt}) all dispatch through here;
+    [certified] is the method's own statement that its cost carries a
+    THEORY.md §11 quadrangle certificate. *)

@@ -312,16 +312,13 @@ let solve ?key_cap ?ub ?(max_states = 30_000_000) ?beam
   in
   Metrics.set g_key_cap (float_of_int key_cap);
   (* Scratch-buffer arena for the beam path.  Coordinator-only state:
-     with [jobs > 1] the workers grow their cells concurrently, so no
-     arena is threaded — except on a single-core machine, where the
-     [Auto] pool below is pinned inline for its whole life (workers are
-     never even spawned), every cell grows on the coordinator, and the
-     arena is safe.  Recycling never changes capacities or slot layouts,
-     so sequential and parallel runs — and snapshot bytes — stay
-     bit-identical either way. *)
-  let arena =
-    if jobs <= 1 || Pool.single_core () then Some (Ktbl.arena ()) else None
-  in
+     a dispatching pool grows cells on its workers concurrently, so an
+     arena is threaded only when the pool below runs inline
+     ({!Pool.inline}: workers are never even spawned, every cell grows
+     on the coordinator).  Recycling never changes capacities or slot
+     layouts, so sequential and parallel runs — and snapshot bytes —
+     stay bit-identical either way. *)
+  let arena = if Pool.inline ~jobs then Some (Ktbl.arena ()) else None in
   (* levels.(k).(i): key (= 2Λ) → best partial cost and parent. *)
   let levels =
     Array.init (b + 1) (fun _ ->

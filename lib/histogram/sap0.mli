@@ -28,5 +28,4 @@ val build_with_cost :
     the underlying {!Dp} (polled per row; level-parallel and
     bit-identical when [jobs > 1]).  The SAP0 cost is never
     monotone-certified (it violates the quadrangle inequality even on
-    sorted data), so [engine = Auto] always uses the level engine and
-    an explicit [Monotone] raises a typed error. *)
+    sorted data), so every [engine] runs the level engine. *)

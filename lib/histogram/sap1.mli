@@ -28,6 +28,5 @@ val build_with_cost :
     [governor]/[stage]/[jobs] reach the underlying {!Dp} (polled per
     row; level-parallel and bit-identical when [jobs > 1]).  The SAP1
     cost violates the quadrangle inequality even on sorted data
-    (THEORY.md §11), so it is never monotone-certified: [Auto] always
-    takes the level engine and an explicit [Monotone] is a typed
-    error. *)
+    (THEORY.md §11), so it is never monotone-certified: every [engine]
+    runs the level engine. *)

@@ -21,7 +21,7 @@ val build :
     reaches the underlying {!Dp} (level-parallel, bit-identical).
     [engine] (default [Auto]) selects the DP engine: both point costs
     carry the sorted-data QI certificate, so on monotone inputs [Auto]
-    takes {!Dp.solve_monotone} when [jobs ≤ 1]. *)
+    takes {!Dp.solve_monotone} whatever [jobs] is. *)
 
 val build_with_cost :
   ?weighted:bool ->

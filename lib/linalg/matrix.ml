@@ -42,9 +42,6 @@ let of_arrays a =
     a;
   init ~rows:(Array.length a) ~cols (fun i j -> a.(i).(j))
 
-let to_arrays t =
-  Array.init t.rows (fun i -> Array.sub t.m (i * t.cols) t.cols)
-
 let transpose t = init ~rows:t.cols ~cols:t.rows (fun i j -> t.m.((j * t.cols) + i))
 
 let mul a b =

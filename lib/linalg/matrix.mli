@@ -23,9 +23,6 @@ val copy : t -> t
 val of_arrays : float array array -> t
 (** Rows given as arrays; all rows must have equal, positive length. *)
 
-val to_arrays : t -> float array array
-(** Fresh row arrays. *)
-
 val transpose : t -> t
 
 val mul : t -> t -> t

@@ -143,18 +143,6 @@ let metrics_all_ranges p estimate =
   in
   metrics_fold fold (float_of_int (n * (n + 1) / 2))
 
-let metrics_of_workload p (w : Workload.t) estimate =
-  Checks.check
-    (Workload.size w = 0 || w.Workload.n = Prefix.n p)
-    "Error.metrics_of_workload: workload domain mismatch";
-  let fold visit =
-    Array.iter
-      (fun { Workload.a; b; weight } ->
-        visit ~truth:(Prefix.range_sum p ~a ~b) ~est:(estimate ~a ~b) ~weight)
-      w.Workload.queries
-  in
-  metrics_fold fold (Workload.total_weight w)
-
 let naive_estimator p =
   let avg = Prefix.total p /. float_of_int (Prefix.n p) in
   fun ~a ~b -> float_of_int (b - a + 1) *. avg

@@ -58,7 +58,6 @@ type metrics = {
 }
 
 val metrics_all_ranges : Rs_util.Prefix.t -> estimator -> metrics
-val metrics_of_workload : Rs_util.Prefix.t -> Workload.t -> estimator -> metrics
 
 val naive_estimator : Rs_util.Prefix.t -> estimator
 (** The paper's NAIVE baseline: answers with the global average,

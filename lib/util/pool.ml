@@ -11,17 +11,12 @@
    so the surfaced exception is deterministic whenever the failures
    are.
 
-   Dispatch cutover: waking the workers costs a broadcast plus two
-   mutex handshakes per chunk — tens of microseconds — which dominates
-   when the chunk's own work is small (on one core the workers are
-   time-sliced, so every chunk would pay the handshake for zero
-   parallel speedup; jobs=4 once read 0.39x of jobs=1 that way).  [run] therefore measures
-   each chunk and, in [Auto] mode, runs a chunk inline on the
-   coordinator when the estimated work is below the cutover (or,
-   unconditionally, when the machine has fewer than two cores).  The
-   inline path is the plain ascending loop, so results — and the
-   surfaced exception (the smallest failing index, reached first) —
-   are identical either way; only scheduling changes. *)
+   One static rule picks the path ({!inline}): chunks run inline on
+   the coordinator exactly when [jobs = 1] or the machine has fewer
+   than two cores (there the workers would time-slice the one core and
+   every chunk would pay the wake-up handshake for no speedup; jobs=4
+   once read 0.39x of jobs=1 that way).  Otherwise every chunk is
+   dispatched.  Only scheduling differs between the two paths. *)
 
 let log_src = Logs.Src.create "rs.pool" ~doc:"Level-parallel worker pool"
 
@@ -39,23 +34,11 @@ let m_chunk_seconds = Metrics.histogram "pool.chunk.seconds"
 let span_bounds = [| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. |]
 let m_chunk_span = Metrics.histogram ~bounds:span_bounds "pool.chunk_span"
 
-type dispatch = Auto | Parallel | Sequential
-
-(* Estimated per-chunk work below which [Auto] runs the chunk inline,
-   and the hysteresis factor for switching back: re-dispatch only once
-   the estimate clears [4×] the cutover, so a noisy estimate cannot
-   flap between modes at every barrier. *)
-let cutover_seconds = 200e-6
-let hysteresis = 4.
-
 type job = { hi : int; body : int -> unit }
 
 type t = {
   jobs : int;
-  dispatch : dispatch;
-  mutable inline_mode : bool; (* Auto state: run chunks inline? *)
-  one_core : bool; (* < 2 cores: inline permanently under Auto *)
-  mutable ewma : float; (* measured seconds per index (0. = no sample) *)
+  inline : bool; (* [inline ~jobs]: never dispatch, never spawn *)
   mutex : Mutex.t;
   start : Condition.t;  (* coordinator -> workers: a new epoch is up *)
   finished : Condition.t;  (* workers -> coordinator: epoch drained *)
@@ -70,8 +53,8 @@ type t = {
   mutable domains : unit Domain.t list;
 }
 
-let jobs t = t.jobs
-let single_core () = Domain.recommended_domain_count () < 2
+let single_core = Domain.recommended_domain_count () < 2
+let inline ~jobs = jobs <= 1 || single_core
 
 (* Claim-and-run loop shared by the coordinator and the workers. *)
 let drain t { hi; body } =
@@ -116,16 +99,12 @@ let worker t =
     end
   done
 
-let create ?(dispatch = Auto) ~jobs () =
+let create ~jobs =
   let jobs = max 1 jobs in
-  let one_core = Domain.recommended_domain_count () < 2 in
   let t =
     {
       jobs;
-      dispatch;
-      inline_mode = one_core;
-      one_core;
-      ewma = 0.;
+      inline = inline ~jobs;
       mutex = Mutex.create ();
       start = Condition.create ();
       finished = Condition.create ();
@@ -141,21 +120,15 @@ let create ?(dispatch = Auto) ~jobs () =
     }
   in
   Log.debug (fun m ->
-      m "pool up: %d workers (domains spawn on first dispatch), dispatch %s%s"
-        jobs
-        (match dispatch with
-        | Auto -> "auto"
-        | Parallel -> "parallel"
-        | Sequential -> "sequential")
-        (if one_core then " (single core: inline)" else ""));
+      m "pool up: %d workers%s" jobs
+        (if t.inline then " (inline)" else " (domains spawn on first run)"));
   t
 
-(* Workers are spawned lazily, at the first epoch that actually
-   dispatches.  A pool that stays inline for its whole life — every
-   [Sequential] pool, and every [Auto] pool on a single-core machine —
-   therefore never leaves single-domain execution, so the runtime never
-   pays multi-domain minor-GC synchronization for workers that would
-   only ever sit in [Condition.wait].  Coordinator-only, like [run]. *)
+(* Workers are spawned lazily, at the first epoch that dispatches.  An
+   inline pool therefore never leaves single-domain execution, so the
+   runtime never pays multi-domain minor-GC synchronization for workers
+   that would only ever sit in [Condition.wait].  Coordinator-only,
+   like [run]. *)
 let ensure_workers t =
   if not t.spawned then begin
     t.spawned <- true;
@@ -197,24 +170,10 @@ let run_dispatched t ~lo job =
       in
       Printexc.raise_with_backtrace e bt
 
-(* Auto-mode decision for a chunk of [span] indices, with hysteresis.
-   No sample yet (ewma = 0) keeps the current mode: parallel pools
-   start optimistic — matching the pre-cutover behavior — and adapt
-   once the first barrier is measured. *)
-let want_inline t ~span =
-  match t.dispatch with
-  | Sequential -> true
-  | Parallel -> false
-  | Auto ->
-      if (not t.one_core) && t.ewma > 0. then begin
-        let est = t.ewma *. float_of_int span in
-        if t.inline_mode then begin
-          if est > hysteresis *. cutover_seconds then t.inline_mode <- false
-        end
-        else if est < cutover_seconds then t.inline_mode <- true
-      end;
-      t.inline_mode
-
+(* The inline path is the coordinator's plain ascending loop: a
+   raising body propagates directly, and the first failure is the
+   smallest failing index, exactly the dispatched contract — so
+   results are identical on both paths. *)
 let run t ~lo ~hi body =
   if hi < lo then ()
   else if t.jobs = 1 then
@@ -222,26 +181,16 @@ let run t ~lo ~hi body =
       body i
     done
   else begin
-    let span = hi - lo + 1 in
-    let inline_now = want_inline t ~span in
     let t0 = Mclock.now () in
-    if inline_now then
-      (* Inline chunk: the coordinator's plain ascending loop.  A
-         raising body propagates directly — the first failure is the
-         smallest failing index, exactly the dispatched contract. *)
+    if t.inline then
       for i = lo to hi do
         body i
       done
     else run_dispatched t ~lo { hi; body };
-    let dt = Mclock.now () -. t0 in
-    let per_index = dt /. float_of_int span in
-    t.ewma <-
-      (if t.ewma = 0. then per_index
-       else (0.75 *. t.ewma) +. (0.25 *. per_index));
     if Metrics.enabled () then begin
       Metrics.incr m_chunks;
-      Metrics.observe m_chunk_seconds dt;
-      Metrics.observe m_chunk_span (float_of_int span)
+      Metrics.observe m_chunk_seconds (Mclock.now () -. t0);
+      Metrics.observe m_chunk_span (float_of_int (hi - lo + 1))
     end
   end
 
@@ -253,6 +202,6 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-let with_pool ?dispatch ~jobs f =
-  let t = create ?dispatch ~jobs () in
+let with_pool ~jobs f =
+  let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

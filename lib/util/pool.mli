@@ -17,45 +17,25 @@
     {!Checkpoint.save} all stay on the coordinator, at chunk barriers
     between {!run} calls.
 
-    {2 Dispatch cutover}
+    {2 Inline or dispatched}
 
-    Waking the workers costs a broadcast and two mutex handshakes per
-    chunk, so a chunk whose own work is smaller than that overhead runs
-    {e slower} under [jobs > 1] than inline — and on a machine with a
-    single core, every chunk does (the workers time-slice the one
-    core).  {!run} measures each chunk barrier and keeps a per-index
-    EWMA; in the default [Auto] mode a chunk whose estimated work falls
-    below the cutover (≈200 µs) runs inline on the coordinator, with a
-    4× hysteresis before re-dispatching, and a sub-2-core machine
-    ([Domain.recommended_domain_count () < 2]) is pinned inline
-    outright.  Inline chunks run the plain ascending loop, so results,
-    failure choice (smallest index) and every bit-identity contract are
-    unchanged — only scheduling moves.  [Parallel]/[Sequential] pin the
-    mode, for tests and measurements. *)
+    A pool runs every chunk inline on the coordinator exactly when
+    {!inline} holds for its [jobs] — [jobs = 1], or a machine with
+    fewer than two cores, where the workers would time-slice the one
+    core and every chunk would pay the wake-up handshake for no
+    speedup.  Otherwise every chunk is dispatched.  Inline chunks run
+    the plain ascending loop, so results, failure choice (smallest
+    index) and every bit-identity contract are the same on both paths —
+    only scheduling moves. *)
 
 type t
 
-type dispatch =
-  | Auto  (** measured cutover (default) *)
-  | Parallel  (** always wake the workers — the pre-cutover behavior *)
-  | Sequential  (** always inline on the coordinator *)
-
-val create : ?dispatch:dispatch -> jobs:int -> unit -> t
-(** Make a pool of [max 1 jobs] workers.  The [jobs - 1] worker domains
-    are spawned lazily, at the first {!run} that actually dispatches —
-    a pool that stays inline its whole life (every [Sequential] pool,
-    and every [Auto] pool on a single-core machine) never leaves
-    single-domain execution, so it never pays multi-domain minor-GC
-    synchronization for idle workers. *)
-
-val single_core : unit -> bool
-(** [Domain.recommended_domain_count () < 2]: on such a machine an
-    [Auto] pool is pinned inline for its whole life, so its workers are
-    never spawned and worker-visibility restrictions (e.g. sharing a
-    {!Ktbl} arena) cannot be violated.  Static per-process fact. *)
-
-val jobs : t -> int
-(** Total worker count including the coordinator (≥ 1). *)
+val inline : jobs:int -> bool
+(** [jobs ≤ 1 || Domain.recommended_domain_count () < 2]: a pool of
+    [jobs] workers runs everything on the coordinator, never spawns a
+    domain, and so cannot break worker-visibility restrictions (e.g.
+    sharing a {!Ktbl} arena).  A static per-process fact for each
+    [jobs]. *)
 
 val run : t -> lo:int -> hi:int -> (int -> unit) -> unit
 (** [run t ~lo ~hi body] applies [body] to every index of [lo..hi]
@@ -64,8 +44,10 @@ val run : t -> lo:int -> hi:int -> (int -> unit) -> unit
     exception of the {e smallest} failing index is re-raised here, with
     its backtrace — deterministic whenever the failures are. *)
 
-val shutdown : t -> unit
-(** Join the worker domains.  The pool must not be used afterwards. *)
-
-val with_pool : ?dispatch:dispatch -> jobs:int -> (t -> 'a) -> 'a
-(** [create], run [f], and {!shutdown} (also on exception). *)
+val with_pool : jobs:int -> (t -> 'a) -> 'a
+(** [with_pool ~jobs f] runs [f] on a pool of [max 1 jobs] workers and
+    joins the worker domains when [f] returns or raises.  The
+    [jobs - 1] domains are spawned lazily, at the first dispatched
+    {!run} — an {!inline} pool never leaves single-domain execution, so
+    it never pays multi-domain minor-GC synchronization for idle
+    workers. *)

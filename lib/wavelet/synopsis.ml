@@ -365,8 +365,6 @@ let of_coefficients ?(name = "wavelet") ~n domain coeffs =
   in
   make ~domain ~n ~padded ~name coeffs
 
-let shared_prefix t = t.d_hat_left = None
-
 let estimate t ~a ~b =
   let a, b = Checks.ordered_pair ~name:"Synopsis.estimate" ~lo:1 ~hi:t.n (a, b) in
   let left = match t.d_hat_left with Some l -> l | None -> t.d_hat in

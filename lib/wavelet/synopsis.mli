@@ -96,12 +96,6 @@ val aa_2d : float array -> b:int -> t
     is the better use of the same storage (the experiments quantify
     this); [aa_2d] is kept as the faithful ablation. *)
 
-val shared_prefix : t -> bool
-(** [true] when both query endpoints use the same approximate prefix
-    vector (everything except [aa_2d]) — the precondition for
-    evaluating the SSE with {!Rs_query.Error.sse_prefix_form} on
-    [prefix_hat]. *)
-
 val sides : t -> (int * float) array * (int * float) array option
 (** The right/shared coefficient set and, for two-sided ([aa_2d])
     synopses, the left-endpoint set — the exact information a
@@ -151,4 +145,5 @@ val prefix_hat_left : t -> float array option
     prefix vector [Ê[0..n]]: every answer is
     [ŝ[a,b] = D̂[b] − Ê[a−1]], so the exact SSE is
     {!Rs_query.Error.sse_two_sided_form} on [(prefix_hat,
-    prefix_hat_left)] in O(n).  [None] when {!shared_prefix}. *)
+    prefix_hat_left)] in O(n).  [None] when both endpoints share one
+    prefix vector (every synopsis except [aa_2d]). *)

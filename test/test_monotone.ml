@@ -13,8 +13,8 @@
    every synopsis representation the builder can produce.
 
    Certification matters: a hardcoded instance shows the D&C engine
-   mis-optimizing the (non-QI) SAP0 cost by ~3.8%, and the dispatch
-   layer refusing to let it. *)
+   mis-optimizing the (non-QI) SAP0 cost by ~3.8%, and the engine rule
+   keeping every uncertified method on the level engine. *)
 
 module Prefix = Rs_util.Prefix
 module Error = Rs_util.Error
@@ -203,30 +203,32 @@ let test_sap1_sorted_misoptimizes () =
     (total_of_bucketing cost mono.Dp.bucketing)
     mono.Dp.cost
 
-(* --- dispatch: certificates, refusals, fallbacks --- *)
-
-let expect_invalid_input what f =
-  match Error.guard f with
-  | Error (Error.Invalid_input _) -> ()
-  | Error e ->
-      Alcotest.failf "%s: expected Invalid_input, got %s" what (Error.to_string e)
-  | Ok _ -> Alcotest.failf "%s: expected Invalid_input, got success" what
+(* --- dispatch: the input picks the engine, never [jobs] --- *)
 
 let test_use_monotone () =
   Alcotest.(check bool) "level never" false
-    (Dp.use_monotone ~engine:Dp.Level ~certified:true ~jobs:1 ~stage:"t");
-  Alcotest.(check bool) "auto certified sequential" true
-    (Dp.use_monotone ~engine:Dp.Auto ~certified:true ~jobs:1 ~stage:"t");
+    (Dp.use_monotone ~engine:Dp.Level ~certified:true);
+  Alcotest.(check bool) "auto certified" true
+    (Dp.use_monotone ~engine:Dp.Auto ~certified:true);
   Alcotest.(check bool) "auto uncertified" false
-    (Dp.use_monotone ~engine:Dp.Auto ~certified:false ~jobs:1 ~stage:"t");
-  Alcotest.(check bool) "auto parallel" false
-    (Dp.use_monotone ~engine:Dp.Auto ~certified:true ~jobs:4 ~stage:"t");
-  Alcotest.(check bool) "monotone honored" true
-    (Dp.use_monotone ~engine:Dp.Monotone ~certified:true ~jobs:1 ~stage:"t");
-  expect_invalid_input "monotone uncertified" (fun () ->
-      ignore (Dp.use_monotone ~engine:Dp.Monotone ~certified:false ~jobs:1 ~stage:"t"));
-  expect_invalid_input "monotone parallel" (fun () ->
-      ignore (Dp.use_monotone ~engine:Dp.Monotone ~certified:true ~jobs:2 ~stage:"t"))
+    (Dp.use_monotone ~engine:Dp.Auto ~certified:false);
+  (* Through the method builders at jobs > 1 on sorted data: the
+     certified point cost runs (and delivers), the uncertified ones
+     stay on the level engine. *)
+  let rng = Rng.create 42 in
+  let p = Prefix.create (sorted_data rng ~n:32 ~kind:1) in
+  let h = Rs_histogram.Vopt.build ~jobs:2 p ~buckets:4 in
+  Alcotest.(check int) "point-opt delivers at jobs=2" 4 (H.buckets h);
+  List.iter
+    (fun (name, build) ->
+      let auto : H.t = build Dp.Auto and level : H.t = build Dp.Level in
+      if H.bucketing auto <> H.bucketing level then
+        Alcotest.failf "%s: auto left the level engine on sorted data" name)
+    [
+      ("sap0", fun engine -> Rs_histogram.Sap0.build ~engine ~jobs:2 p ~buckets:4);
+      ("sap1", fun engine -> Rs_histogram.Sap1.build ~engine ~jobs:2 p ~buckets:4);
+      ("a0", fun engine -> Rs_histogram.A0.build ~engine p ~buckets:4);
+    ]
 
 (* Auto on an unsorted input must fall back to the level engine for
    every method — bit-identical synopses. *)
@@ -292,29 +294,6 @@ let prop_auto_upgrade_sorted =
             Rs_histogram.Prefix_opt.build ~engine p ~buckets);
         ])
 
-let test_explicit_monotone_refusals () =
-  let rng = Rng.create 42 in
-  let sorted = sorted_data rng ~n:32 ~kind:1 in
-  let p_sorted = Prefix.create sorted in
-  let unsorted = Array.init 32 (fun i -> if i = 16 then 500. else 1.) in
-  let p_unsorted = Prefix.create unsorted in
-  (* Uncertified method, even on sorted data. *)
-  expect_invalid_input "sap0 + monotone" (fun () ->
-      ignore (Rs_histogram.Sap0.build ~engine:Dp.Monotone p_sorted ~buckets:4));
-  expect_invalid_input "a0 + monotone" (fun () ->
-      ignore (Rs_histogram.A0.build ~engine:Dp.Monotone p_sorted ~buckets:4));
-  expect_invalid_input "sap1 + monotone (non-QI even sorted)" (fun () ->
-      ignore (Rs_histogram.Sap1.build ~engine:Dp.Monotone p_sorted ~buckets:4));
-  (* Certified method, unsorted data. *)
-  expect_invalid_input "vopt + monotone + unsorted" (fun () ->
-      ignore (Rs_histogram.Vopt.build ~engine:Dp.Monotone p_unsorted ~buckets:4));
-  (* Certified method + sorted data + jobs > 1. *)
-  expect_invalid_input "vopt + monotone + jobs" (fun () ->
-      ignore (Rs_histogram.Vopt.build ~engine:Dp.Monotone ~jobs:2 p_sorted ~buckets:4));
-  (* And the happy path actually works. *)
-  let h = Rs_histogram.Vopt.build ~engine:Dp.Monotone p_sorted ~buckets:4 in
-  Alcotest.(check int) "monotone build delivers" 4 (H.buckets h)
-
 let check_builder_error what r =
   match r with
   | Error (Error.Invalid_input _) -> ()
@@ -322,29 +301,30 @@ let check_builder_error what r =
       Alcotest.failf "%s: expected Invalid_input, got %s" what (Error.to_string e)
   | Ok _ -> Alcotest.failf "%s: expected Invalid_input, got Ok" what
 
+(* The builder's remaining guard on the interval-DP methods: only
+   opt-a checkpoints, so a checkpointed v-optimal build is refused
+   (the monotone engine it would run has no row prefix to snapshot).
+   Unguarded, a sorted v-optimal build at jobs = 2 runs the monotone
+   engine and saves the same bytes as at jobs = 1. *)
 let test_builder_guards () =
   let ds = Dataset.generate "sorted-zipf-64" in
-  let mono = { Builder.default_options with Builder.engine = Dp.Monotone } in
-  check_builder_error "monotone + topbb"
-    (Builder.build_result ~options:mono ds ~method_name:"topbb" ~budget_words:16);
-  check_builder_error "monotone + opt-a"
-    (Builder.build_result ~options:mono ds ~method_name:"opt-a" ~budget_words:16);
-  check_builder_error "monotone + jobs"
-    (Builder.build_result
-       ~options:{ mono with Builder.jobs = 2 }
-       ds ~method_name:"v-optimal" ~budget_words:16);
   let dir = Filename.temp_file "rs_monotone" "" in
   Sys.remove dir;
-  check_builder_error "monotone + checkpoint"
-    (Builder.build_result ~options:mono ~checkpoint_path:(Filename.concat dir "x.ckpt")
-       ds ~method_name:"v-optimal" ~budget_words:16);
-  (* Happy path through the builder. *)
-  match
-    Builder.build_result ~options:mono ds ~method_name:"v-optimal" ~budget_words:16
-  with
-  | Ok { Builder.synopsis; _ } ->
-      Alcotest.(check string) "name" "v-optimal" (Synopsis.name synopsis)
-  | Error e -> Alcotest.failf "monotone v-optimal: %s" (Error.to_string e)
+  check_builder_error "v-optimal + checkpoint"
+    (Builder.build_result ~checkpoint_path:(Filename.concat dir "x.ckpt") ds
+       ~method_name:"v-optimal" ~budget_words:16);
+  let bytes jobs =
+    match
+      Builder.build_result
+        ~options:{ Builder.default_options with Builder.jobs }
+        ds ~method_name:"v-optimal" ~budget_words:16
+    with
+    | Ok { Builder.synopsis; _ } ->
+        Alcotest.(check string) "name" "v-optimal" (Synopsis.name synopsis);
+        Rs_core.Codec.to_string synopsis
+    | Error e -> Alcotest.failf "v-optimal at jobs=%d: %s" jobs (Error.to_string e)
+  in
+  Alcotest.(check string) "jobs=2 bytes = jobs=1 bytes" (bytes 1) (bytes 2)
 
 (* The monotone engine respects the governor via Governor.check. *)
 let test_monotone_deadline () =
@@ -593,19 +573,23 @@ let test_dp_solve_allocates_o1_per_row () =
    O(B·n log n) (5,695,261 against 112,853 at B = 12); pinning the
    ratio is a deterministic stand-in for a speed comparison (no clock,
    so no noise).  The two optima must agree as well. *)
-let test_monotone_makes_fewer_cost_calls () =
+let counted_instance () =
   let ds = Dataset.generate "sorted-zipf-1023" in
-  let n = Dataset.n ds and buckets = 12 in
   let point = Cost.point_range_weighted (Cost.make (Dataset.prefix ds)) in
-  let calls = ref 0 in
+  (* atomic: a level engine at jobs > 1 calls it from pool workers *)
+  let calls = Atomic.make 0 in
   let cost ~l ~r =
-    incr calls;
+    Atomic.incr calls;
     point ~l ~r
   in
+  (Dataset.n ds, cost, calls)
+
+let test_monotone_makes_fewer_cost_calls () =
+  let n, cost, calls = counted_instance () and buckets = 12 in
   let count solve =
-    calls := 0;
+    Atomic.set calls 0;
     let r : Dp.result = solve () in
-    (!calls, r.Dp.cost)
+    (Atomic.get calls, r.Dp.cost)
   in
   let level, level_cost = count (fun () -> Dp.solve ~n ~buckets ~cost ()) in
   let mono, mono_cost =
@@ -619,6 +603,15 @@ let test_monotone_makes_fewer_cost_calls () =
       "monotone engine made %d cost calls, level engine %d: expected at \
        least 10x fewer"
       mono level
+
+(* The engine rule at jobs > 1: a certified cost runs the monotone
+   engine whatever [jobs] is, so [solve_with ~jobs:2] makes exactly the
+   monotone engine's cost calls on the instance above — not the level
+   engine's 5,695,261. *)
+let test_certified_runs_monotone_at_jobs_2 () =
+  let n, cost, calls = counted_instance () in
+  ignore (Dp.solve_with ~certified:true ~jobs:2 ~n ~buckets:12 ~cost ());
+  Alcotest.(check int) "cost calls" 112_853 (Atomic.get calls)
 
 let () =
   Alcotest.run "monotone"
@@ -638,8 +631,6 @@ let () =
            Alcotest.test_case "use_monotone matrix" `Quick test_use_monotone;
            prop_auto_fallback_unsorted;
            prop_auto_upgrade_sorted;
-           Alcotest.test_case "explicit refusals" `Quick
-             test_explicit_monotone_refusals;
            Alcotest.test_case "builder guards" `Quick test_builder_guards;
            Alcotest.test_case "governed deadline" `Quick test_monotone_deadline;
          ] );
@@ -662,5 +653,7 @@ let () =
          [
            Alcotest.test_case "monotone makes 10x fewer cost calls" `Quick
              test_monotone_makes_fewer_cost_calls;
+           Alcotest.test_case "certified runs monotone at jobs 2" `Quick
+             test_certified_runs_monotone_at_jobs_2;
          ] );
      ])

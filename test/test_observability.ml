@@ -376,8 +376,8 @@ let test_jobs_invariant_counters () =
    coordinator's per-solve stats, and probe sequences are a function of
    insertion order — which the bit-identity contract pins across job
    counts — so its totals must twin exactly.  [pool.chunk_span] counts
-   dispatched chunk widths, a parallel-only quantity (excluded from the
-   twin like "pool.chunks"). *)
+   the chunk widths of a jobs > 1 pool, a parallel-only quantity
+   (excluded from the twin like "pool.chunks"). *)
 let histogram_stats report name =
   match List.assoc_opt name report.Metrics.r_histograms with
   | Some s -> s
@@ -405,7 +405,7 @@ let test_kernel_histograms () =
     "probe buckets identical across job counts"
     (List.map snd probes_seq.Metrics.h_buckets)
     (List.map snd probes_par.Metrics.h_buckets);
-  (* chunk spans: only dispatched runs record them, every observation
+  (* chunk spans: only jobs > 1 runs record them, every observation
      is a positive span no wider than the fixed 64-cell chunk, and the
      chunk counter is their count. *)
   (* unobserved histograms are omitted from the report entirely *)

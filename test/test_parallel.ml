@@ -1,8 +1,9 @@
-(* The level-parallel DP engines (PR 3): the Rs_util.Pool fork-join
-   primitive itself, bit-identical Dp/Opt_a results across job counts
-   (bucketing, SSE, state counts), byte-identical snapshots at matching
-   positions, and cross-jobs kill-and-resume (a snapshot taken at
-   jobs=4 resumes at jobs=1 and vice versa). *)
+(* The level-parallel DP engines: the Rs_util.Pool fork-join
+   primitive itself and its inline/dispatched rule, rs_cli's refusal
+   of job counts it cannot run, bit-identical Dp/Opt_a results across
+   job counts (bucketing, SSE, state counts), byte-identical snapshots
+   at matching positions, and cross-jobs kill-and-resume (a snapshot
+   taken at jobs=4 resumes at jobs=1 and vice versa). *)
 
 module Pool = Rs_util.Pool
 module Governor = Rs_util.Governor
@@ -101,23 +102,29 @@ let test_with_pool_shuts_down_on_exception () =
   | () -> Alcotest.fail "must propagate"
   | exception Failure msg -> Alcotest.(check string) "propagated" "escape" msg
 
-(* --- dispatch cutover: scheduling moves, nothing else --- *)
+(* --- inline or dispatched: one rule, scheduling moves, nothing else --- *)
 
-let dispatch_sweep = [ Pool.Auto; Pool.Parallel; Pool.Sequential ]
+(* Runs [lo..hi] on [pool] and reports whether any index left the
+   coordinator.  Each coordinator-run body holds briefly, so on a
+   dispatching pool the coordinator cannot drain the whole range before
+   a worker wakes. *)
+let strays pool ~lo ~hi =
+  let self = Domain.self () in
+  let strayed = Atomic.make false in
+  Pool.run pool ~lo ~hi (fun _ ->
+      if Domain.self () <> self then Atomic.set strayed true
+      else Unix.sleepf 0.001);
+  Atomic.get strayed
 
-let dispatch_name = function
-  | Pool.Auto -> "auto"
-  | Pool.Parallel -> "parallel"
-  | Pool.Sequential -> "sequential"
-
-let test_pool_dispatch_modes_agree () =
+let test_pool_modes_agree () =
   (* Every contract the dispatched path promises — each index exactly
      once, reuse across runs, smallest failing index — holds verbatim
-     on the inline path and in auto mode. *)
+     on the inline path (jobs = 1) and on the jobs = 4 pool, which
+     dispatches unless the machine has one core. *)
   List.iter
-    (fun dispatch ->
-      let name fmt = Printf.sprintf ("%s: " ^^ fmt) (dispatch_name dispatch) in
-      Pool.with_pool ~dispatch ~jobs:4 (fun pool ->
+    (fun jobs ->
+      let name fmt = Printf.sprintf ("jobs=%d: " ^^ fmt) jobs in
+      Pool.with_pool ~jobs (fun pool ->
           let marks = Array.init 100 (fun _ -> Atomic.make 0) in
           for _round = 1 to 2 do
             Pool.run pool ~lo:0 ~hi:99 (fun i -> Atomic.incr marks.(i))
@@ -130,49 +137,99 @@ let test_pool_dispatch_modes_agree () =
              Pool.run pool ~lo:0 ~hi:20 (fun i ->
                  if i = 3 || i = 7 then failwith (string_of_int i))
            with
-          | () -> Alcotest.failf "%s: must raise" (dispatch_name dispatch)
+          | () -> Alcotest.failf "jobs=%d: must raise" jobs
           | exception Failure got ->
               Alcotest.(check string) (name "smallest index") "3" got);
           (* Still serviceable after the poisoned run. *)
           let hits = Atomic.make 0 in
           Pool.run pool ~lo:0 ~hi:9 (fun _ -> Atomic.incr hits);
           Alcotest.(check int) (name "after failure") 10 (Atomic.get hits)))
-    dispatch_sweep
+    [ 1; 4 ]
 
-let test_pool_sequential_dispatch_stays_on_coordinator () =
-  let self = Domain.self () in
-  Pool.with_pool ~dispatch:Pool.Sequential ~jobs:4 (fun pool ->
-      let strayed = Atomic.make false in
-      Pool.run pool ~lo:0 ~hi:499 (fun _ ->
-          if Domain.self () <> self then Atomic.set strayed true);
-      Alcotest.(check bool) "every index inline" false (Atomic.get strayed))
+let test_pool_sequential_stays_on_coordinator () =
+  Alcotest.(check bool) "jobs=1 is inline" true (Pool.inline ~jobs:1);
+  Pool.with_pool ~jobs:1 (fun pool ->
+      Alcotest.(check bool) "every index inline" false (strays pool ~lo:0 ~hi:63))
 
-let test_pool_auto_pins_inline_on_one_core () =
-  (* The dispatch cutover: on a sub-2-core machine every chunk pays
-     the worker handshake for zero parallel speedup, so auto mode never
-     dispatches.  Only observable where the gate actually fires. *)
-  if Domain.recommended_domain_count () < 2 then begin
-    let self = Domain.self () in
-    Pool.with_pool ~dispatch:Pool.Auto ~jobs:4 (fun pool ->
-        let strayed = Atomic.make false in
-        Pool.run pool ~lo:0 ~hi:499 (fun _ ->
-            if Domain.self () <> self then Atomic.set strayed true);
-        Alcotest.(check bool) "one core: auto stays inline" false
-          (Atomic.get strayed))
-  end
+let test_pool_parallel_reaches_workers () =
+  (* A jobs = 4 pool dispatches, so a worker claims an index, exactly
+     when the machine has two or more cores; on one core it stays on
+     the coordinator.  Either way the bit-identity tests below cover a
+     path that really ran: on a multi-core machine, the workers. *)
+  let inline = Pool.inline ~jobs:4 in
+  Alcotest.(check bool)
+    "inline iff one core" (Domain.recommended_domain_count () < 2) inline;
+  Pool.with_pool ~jobs:4 (fun pool ->
+      Alcotest.(check bool)
+        "a worker claimed an index iff the pool dispatches" (not inline)
+        (strays pool ~lo:0 ~hi:63))
 
-let test_pool_parallel_dispatch_reaches_workers () =
-  (* [Parallel] must keep the pre-cutover behavior: the workers do
-     claim indices.  Hold each body briefly so the coordinator cannot
-     drain the whole range before a worker wakes. *)
-  let self = Domain.self () in
-  Pool.with_pool ~dispatch:Pool.Parallel ~jobs:4 (fun pool ->
-      let worker_ran = Atomic.make false in
-      Pool.run pool ~lo:0 ~hi:63 (fun _ ->
-          if Domain.self () <> self then Atomic.set worker_ran true
-          else Unix.sleepf 0.001);
-      Alcotest.(check bool) "a worker claimed an index" true
-        (Atomic.get worker_ran))
+(* --- rs_cli refuses job counts it cannot run --- *)
+
+let cli_exe =
+  match Sys.getenv_opt "RS_CLI" with
+  | Some p -> p
+  | None -> Filename.concat (Filename.dirname (Sys.getcwd ())) "bin/rs_cli.exe"
+
+(* Runs rs_cli with [args] and RS_JOBS set to [rs_jobs] (unset when
+   [None]); returns the exit status, stdout and stderr. *)
+let run_cli ?rs_jobs args =
+  let env =
+    Array.to_list (Unix.environment ())
+    |> List.filter (fun kv -> not (String.starts_with ~prefix:"RS_JOBS=" kv))
+    |> fun env ->
+    Array.of_list
+      (match rs_jobs with Some v -> ("RS_JOBS=" ^ v) :: env | None -> env)
+  in
+  with_tmp ".out" @@ fun out ->
+  with_tmp ".err" @@ fun err ->
+  let open_w path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let fd_out = open_w out and fd_err = open_w err in
+  let fd_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let pid =
+    Unix.create_process_env cli_exe (Array.of_list (cli_exe :: args)) env fd_in
+      fd_out fd_err
+  in
+  List.iter Unix.close [ fd_in; fd_out; fd_err ];
+  let status = snd (Unix.waitpid [] pid) in
+  (status, read_file out, read_file err)
+
+(* Every refusal happens before the dataset is read: the dataset named
+   here does not exist, so a check that came later would report the
+   dataset instead, and no build (and no domain) can start either way. *)
+let test_cli_refuses_bad_jobs () =
+  if not (Sys.file_exists cli_exe) then Alcotest.failf "rs_cli not found at %s" cli_exe;
+  let refused ?rs_jobs what args ~names =
+    let status, out, err = run_cli ?rs_jobs args in
+    Alcotest.(check bool) (what ^ ": exit 2") true (status = Unix.WEXITED 2);
+    Alcotest.(check string) (what ^ ": nothing printed") "" out;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: stderr names %s (%S)" what names err)
+      true
+      (String.starts_with ~prefix:("rs_cli: " ^ names ^ " must be") err)
+  in
+  let missing = [ "-d"; "no-such-dataset" ] in
+  List.iter
+    (fun flag -> refused flag ([ "build" ] @ missing @ [ flag ]) ~names:"--jobs")
+    [ "--jobs=0"; "--jobs=-3"; "--jobs=129"; "--jobs=100000" ];
+  refused "evaluate --jobs=0" ([ "evaluate" ] @ missing @ [ "--jobs=0" ]) ~names:"--jobs";
+  refused "scale --jobs=0" [ "scale"; "--quick"; "--jobs=0" ] ~names:"--jobs";
+  List.iter
+    (fun v ->
+      refused ~rs_jobs:v ("RS_JOBS=" ^ v) ([ "build" ] @ missing) ~names:"RS_JOBS";
+      refused ~rs_jobs:v ("figure1 RS_JOBS=" ^ v) ([ "figure1" ] @ missing)
+        ~names:"RS_JOBS")
+    [ "abc"; "0"; "129"; "" ];
+  (* The bounds themselves pass the check and reach the dataset. *)
+  List.iter
+    (fun args ->
+      let status, _, err = run_cli (("build" :: missing) @ args) in
+      Alcotest.(check bool) "exit 2" true (status = Unix.WEXITED 2);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s accepted (%S)" (String.concat " " args) err)
+        true
+        (not (String.starts_with ~prefix:"rs_cli: --jobs" err)))
+    [ [ "--jobs=1" ]; [ "--jobs=128" ] ]
 
 (* --- Dp: identical results for every job count --- *)
 
@@ -443,14 +500,14 @@ let () =
         ] );
       ( "dispatch",
         [
-          Alcotest.test_case "modes agree" `Quick test_pool_dispatch_modes_agree;
+          Alcotest.test_case "modes agree" `Quick test_pool_modes_agree;
           Alcotest.test_case "sequential stays inline" `Quick
-            test_pool_sequential_dispatch_stays_on_coordinator;
-          Alcotest.test_case "auto pins inline on one core" `Quick
-            test_pool_auto_pins_inline_on_one_core;
+            test_pool_sequential_stays_on_coordinator;
           Alcotest.test_case "parallel reaches workers" `Quick
-            test_pool_parallel_dispatch_reaches_workers;
+            test_pool_parallel_reaches_workers;
         ] );
+      ( "cli",
+        [ Alcotest.test_case "bad --jobs/RS_JOBS refused" `Quick test_cli_refuses_bad_jobs ] );
       ( "dp-determinism",
         [
           Alcotest.test_case "random sweeps" `Quick
