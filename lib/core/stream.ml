@@ -590,73 +590,3 @@ let resume ?(options = Builder.default_options) store =
                 !replayed !replayed_deltas
                 ((Rs_util.Mclock.now () -. started) *. 1e3));
           Some t)
-
-(* --- rolling windows ---------------------------------------------- *)
-
-(* Time-sliced rolling window over a fixed domain: the live window is
-   the pointwise sum of [sub_windows] slices, each summarized on seal,
-   and the window synopsis is the chained merge of the survivors —
-   expiring the oldest slice is "re-merge the rest", never a rebuild
-   over the whole window (the FracFin rolling/sub-window idiom paired
-   with the t-digest merge idiom). *)
-module Rolling = struct
-  module W = Rs_wavelet.Synopsis
-
-  type slice = { counts : float array; mutable sealed : W.t option }
-
-  type t = {
-    r_n : int;
-    r_b : int;
-    slices : slice Queue.t; (* oldest first; last is the live slice *)
-    r_sub_windows : int;
-  }
-
-  let create ~n ~sub_windows ~b =
-    if n < 1 then invalid "Stream.Rolling: need n >= 1";
-    if sub_windows < 1 then invalid "Stream.Rolling: need sub_windows >= 1";
-    if b < 1 then invalid "Stream.Rolling: need b >= 1";
-    let t =
-      { r_n = n; r_b = b; slices = Queue.create (); r_sub_windows = sub_windows }
-    in
-    Queue.add { counts = Array.make n 0.; sealed = None } t.slices;
-    t
-
-  let live t = Queue.fold (fun _ s -> s) (Queue.peek t.slices) t.slices
-
-  let observe t ~i ~weight =
-    if i < 1 || i > t.r_n then
-      invalid "Stream.Rolling.observe: position %d outside [1..%d]" i t.r_n;
-    if (not (Float.is_finite weight)) || weight < 0. then
-      invalid "Stream.Rolling.observe: weight must be finite and >= 0";
-    let s = live t in
-    s.counts.(i - 1) <- s.counts.(i - 1) +. weight
-
-  let summarize t s =
-    match s.sealed with
-    | Some w -> w
-    | None -> W.range_optimal s.counts ~b:t.r_b
-
-  (* Seal the live slice and open a new one; beyond [sub_windows]
-     slices the oldest expires — the survivors' merge IS the window. *)
-  let rotate t =
-    (live t).sealed <- Some (summarize t (live t));
-    Queue.add { counts = Array.make t.r_n 0.; sealed = None } t.slices;
-    if Queue.length t.slices > t.r_sub_windows then ignore (Queue.pop t.slices);
-    Metrics.count "stream.rotations" 1
-
-  let synopsis t =
-    let parts = Queue.fold (fun acc s -> summarize t s :: acc) [] t.slices in
-    match List.rev parts with
-    | [] -> assert false
-    | first :: rest -> List.fold_left W.merge first rest
-
-  let window_data t =
-    let out = Array.make t.r_n 0. in
-    Queue.iter
-      (fun s ->
-        Array.iteri (fun i v -> out.(i) <- out.(i) +. v) s.counts)
-      t.slices;
-    out
-
-  let sub_windows t = Queue.length t.slices
-end

@@ -138,38 +138,3 @@ val synopsis : t -> Segmented.t
 
 val log_src : Logs.src
 (** The [rs.stream] log source. *)
-
-(** {2 Rolling windows}
-
-    Time-sliced rolling window over a fixed domain [1..n]: arrivals
-    accumulate in the live sub-window; {!Rolling.rotate} seals it (one
-    small batch build) and expires the oldest once [sub_windows]
-    slices are live.  The window synopsis is the chained
-    {!Rs_wavelet.Synopsis.merge} of the surviving slices — expiry is
-    a re-merge of survivors, never a rebuild over the whole window.
-    Merge truncation keeps the window budget bounded at the largest
-    slice budget regardless of window length. *)
-module Rolling : sig
-  type t
-
-  val create : n:int -> sub_windows:int -> b:int -> t
-  (** [b] = wavelet coefficient budget per slice.  Raises
-      [Rs_error (Invalid_input _)] on non-positive arguments. *)
-
-  val observe : t -> i:int -> weight:float -> unit
-  (** Add [weight ≥ 0] at position [i] of the live slice. *)
-
-  val rotate : t -> unit
-  (** Seal the live slice, open a new one, expire the oldest beyond
-      [sub_windows]. *)
-
-  val synopsis : t -> Rs_wavelet.Synopsis.t
-  (** Merged synopsis of all live slices (the current window). *)
-
-  val window_data : t -> float array
-  (** Exact current window counts (sum over live slices) — the
-      accuracy baseline the tests compare against. *)
-
-  val sub_windows : t -> int
-  (** Live slice count (grows to the configured cap, then stays). *)
-end

@@ -9,7 +9,6 @@
     measure the real SSE separately. *)
 
 val build :
-  ?engine:Dp.engine ->
   ?governor:Rs_util.Governor.t ->
   ?stage:string ->
   Rs_util.Prefix.t ->
@@ -17,16 +16,13 @@ val build :
   Histogram.t
 
 val build_with_cost :
-  ?engine:Dp.engine ->
   ?governor:Rs_util.Governor.t ->
   ?stage:string ->
   Rs_util.Prefix.t ->
   buckets:int ->
   Histogram.t * float
-(** [governor]/[stage] govern the underlying {!Dp} (polled per DP row);
-    OPT-A's key-cap derivation passes its governor through here so even
-    the seeding work respects a deadline.  The A0 cost is never
-    monotone-certified (quadrangle inequality fails even on sorted
-    data), so [engine = Auto] always takes the level engine — OPT-A's
-    seeding, ladder floor and checkpoints are unaffected by the engine
-    option. *)
+(** [governor]/[stage] govern the underlying {!Dp} (see {!Dp.solve}
+    for the poll cadence); OPT-A's key-cap derivation passes its
+    governor through here so even the seeding work respects a deadline.
+    The A0 cost is never monotone-certified (quadrangle inequality fails
+    even on sorted data), so it always runs the level engine. *)

@@ -9,30 +9,25 @@
     caller's responsibility (it holds exactly for SAP0/SAP1 thanks to the
     Decomposition Lemma, and by construction for point-query costs).
 
-    {2 Checkpoint/resume}
+    {2 Governance}
 
-    When [checkpoint_path] is given, the once-per-row governor poll also
-    drives row-granularity snapshots ({!Rs_util.Checkpoint} container,
-    CRC-protected, written atomically): [Checkpoint_due] saves and
-    continues; an expired {e Snapshot}-mode governor saves and raises
-    {!Rs_util.Governor.Interrupted} instead of degrading.  [resume_from]
-    restores the saved matrices and replays from the first incomplete
-    cell, producing bit-identical results to an uninterrupted run (floats
-    round-trip via [%h]).  The snapshot records [stage], [fingerprint]
-    (caller-supplied hash of the input data), [n] and the clamped bucket
-    count; any mismatch — or any corruption — raises
-    [Rs_error (Corrupt_checkpoint _)].
+    Sequentially, each level is swept in j-tiles of 256 candidates and
+    the governor is checked once per (tile, cell) visited: once per
+    cell while [n ≤ 256], and never more than 256 transitions between
+    two checks above it.  Expiry raises
+    {!Rs_util.Governor.Deadline_exceeded} tagged with [stage], whatever
+    the governor's deadline mode — no DP engine writes snapshots
+    (checkpoint/resume belongs to {!Opt_a}).
 
     {2 Parallelism}
 
     [jobs > 1] runs each level's cells across a {!Rs_util.Pool} of that
     many workers.  Cell [(k, i)] reads only the completed level [k−1]
-    and writes only its own slots, so the result (and any snapshot) is
+    and writes only its own slots, so the result is
     bit-identical to the sequential run for every job count.  The
-    governor poll — and with it the snapshot hook — moves from per-cell
-    to per-chunk on the coordinator (chunks are a fixed 64 cells, so
-    chunk barriers line up across job counts); workers never poll,
-    trip faults, or save checkpoints. *)
+    governor check moves to per-chunk on the coordinator (chunks are a
+    fixed 64 cells, so poll counts line up across job counts); workers
+    never poll or trip faults. *)
 
 type result = {
   cost : float;  (** optimal objective value *)
@@ -53,9 +48,6 @@ type engine =
 val solve :
   ?governor:Rs_util.Governor.t ->
   ?stage:string ->
-  ?fingerprint:string ->
-  ?checkpoint_path:string ->
-  ?resume_from:string ->
   ?jobs:int ->
   n:int ->
   buckets:int ->
@@ -64,11 +56,9 @@ val solve :
   result
 (** [solve ~n ~buckets ~cost ()] runs the DP.  [buckets] is clamped to
     [\[1, n\]].  The returned bucketing may use fewer than [buckets]
-    buckets when that is no worse.  [governor] is polled once per DP
-    row (never per state); on expiry it raises
-    {!Rs_util.Governor.Deadline_exceeded} tagged with [stage] — or, with
-    a Snapshot-mode governor and a [checkpoint_path], writes a resumable
-    snapshot and raises {!Rs_util.Governor.Interrupted}.  [jobs]
+    buckets when that is no worse.  [governor] is checked as described
+    under {e Governance} above (never per transition); on expiry it
+    raises {!Rs_util.Governor.Deadline_exceeded} tagged with [stage].  [jobs]
     (default 1) parallelizes each level across a worker pool with
     bit-identical results; [cost] must then be safe to call from
     several domains at once (the {!Cost} context closures are: they
@@ -77,9 +67,6 @@ val solve :
 val solve_exact_buckets :
   ?governor:Rs_util.Governor.t ->
   ?stage:string ->
-  ?fingerprint:string ->
-  ?checkpoint_path:string ->
-  ?resume_from:string ->
   ?jobs:int ->
   n:int ->
   buckets:int ->
@@ -98,14 +85,13 @@ val solve_exact_buckets :
     argmin) costs O(n log n) transitions per level instead of O(n²) —
     see THEORY.md §11 for the derivation and the per-cost certificates.
 
-    The monotone engine is {e sequential-only and never checkpointed}:
-    it fills each level in divide-and-conquer order, so there is no
-    completed row prefix for a snapshot to record, and no worker pool is
-    ever involved.  Checkpoint/resume stays on {!solve}; {!solve_with}
-    runs a certified cost here even when [jobs > 1] (one sequential
-    O(n log n) level beats a parallel O(n²) one).  Both engines break
-    ties identically (leftmost argmin), so under a valid certificate
-    they return the same bucketing, not just the same cost. *)
+    The monotone engine is {e sequential-only}: it fills each level in
+    divide-and-conquer order, and no worker pool is ever involved;
+    {!solve_with} runs a certified cost here even when [jobs > 1] (one
+    sequential O(n log n) level beats a parallel O(n²) one).  Both
+    engines relax cells through the same transition loop and break ties
+    identically (leftmost argmin), so under a valid certificate they
+    return the same bucketing, not just the same cost. *)
 
 val solve_monotone :
   ?governor:Rs_util.Governor.t ->
@@ -119,9 +105,8 @@ val solve_monotone :
     QI-certified costs — on a cost violating the quadrangle inequality
     the result may be suboptimal (callers go through {!solve_with},
     which enforces the certificate).  The governor is checked once per
-    cell via the non-resumable {!Rs_util.Governor.check}: expiry always
-    raises {!Rs_util.Governor.Deadline_exceeded} (never
-    [Interrupted] — there is no snapshot path). *)
+    cell via {!Rs_util.Governor.check}: expiry always raises
+    {!Rs_util.Governor.Deadline_exceeded}. *)
 
 val solve_monotone_exact_buckets :
   ?governor:Rs_util.Governor.t ->

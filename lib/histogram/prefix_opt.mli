@@ -29,6 +29,6 @@ val build_with_cost :
   buckets:int ->
   Histogram.t * float
 (** The cost is the SSE over the [n] prefix queries (not all ranges).
-    [governor]/[stage] govern the underlying {!Dp} (polled per row).
+    [governor]/[stage] govern the underlying {!Dp} (see {!Dp.solve}).
     [engine] (default [Auto]) may take {!Dp.solve_monotone} on sorted
     inputs (the prefix cost's QI certificate, THEORY.md §11). *)

@@ -7,7 +7,6 @@
     Theorem 6).  Storage: 3B words (Theorem 7). *)
 
 val build :
-  ?engine:Dp.engine ->
   ?governor:Rs_util.Governor.t ->
   ?stage:string ->
   ?jobs:int ->
@@ -16,7 +15,6 @@ val build :
   Histogram.t
 
 val build_with_cost :
-  ?engine:Dp.engine ->
   ?governor:Rs_util.Governor.t ->
   ?stage:string ->
   ?jobs:int ->
@@ -25,7 +23,7 @@ val build_with_cost :
   Histogram.t * float
 (** The returned cost is the DP objective, which for SAP0 equals the
     true range-SSE of the histogram.  [governor]/[stage]/[jobs] reach
-    the underlying {!Dp} (polled per row; level-parallel and
+    the underlying {!Dp} (see {!Dp.solve}; level-parallel and
     bit-identical when [jobs > 1]).  The SAP0 cost is never
     monotone-certified (it violates the quadrangle inequality even on
-    sorted data), so every [engine] runs the level engine. *)
+    sorted data), so it always runs the level engine. *)

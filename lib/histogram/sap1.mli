@@ -25,8 +25,8 @@ val build_with_cost :
   buckets:int ->
   Histogram.t * float
 (** The DP objective equals the true range-SSE of the histogram.
-    [governor]/[stage]/[jobs] reach the underlying {!Dp} (polled per
-    row; level-parallel and bit-identical when [jobs > 1]).  The SAP1
+    [governor]/[stage]/[jobs] reach the underlying {!Dp} (see
+    {!Dp.solve}; level-parallel and bit-identical when [jobs > 1]).  The SAP1
     cost violates the quadrangle inequality even on sorted data
     (THEORY.md §11), so it is never monotone-certified: every [engine]
     runs the level engine. *)

@@ -11,12 +11,11 @@
     - {!check} is the legacy, non-resumable poll: on expiry it raises
       {!Deadline_exceeded}, which the degradation ladder catches to
       fall through to a cheaper rung.
-    - {!poll} is the checkpoint-aware poll used by engines with a
-      snapshot hook ({!Rs_histogram.Dp}, {!Rs_histogram.Opt_a}): it
-      additionally signals [Checkpoint_due] on a configured cadence and
-      reports expiry as a value, tagged with whether the governor's
-      {!deadline_mode} asks for a resumable snapshot instead of
-      degradation. *)
+    - {!poll} is the checkpoint-aware poll used by the engine with a
+      snapshot hook ({!Rs_histogram.Opt_a}): it additionally signals
+      [Checkpoint_due] on a configured cadence and reports expiry as a
+      value, tagged with whether the governor's {!deadline_mode} asks
+      for a resumable snapshot instead of degradation. *)
 
 type expiry_reason =
   | Wall_clock  (** the [deadline] (seconds) passed *)

@@ -1,6 +1,7 @@
 (* Crash-safety: the monotonic clock, the checkpoint-aware governor, the
-   CRC-framed snapshot container and its atomic-write protocol, DP and
-   OPT-A kill-and-resume (bit-identical results), the snapshot fuzzer,
+   CRC-framed snapshot container and its atomic-write protocol, the
+   interval DP's poll cadence, OPT-A kill-and-resume (bit-identical
+   results), the snapshot fuzzer,
    and the durable synopsis store under fault injection. *)
 
 module Error = Rs_util.Error
@@ -175,7 +176,7 @@ let test_atomic_write_seam_fires_before_bytes () =
       Faults.reset ();
       Alcotest.(check bool) "nothing written" false (Sys.file_exists path))
 
-(* --- Dp checkpoint/resume --- *)
+(* --- Dp governor cadence --- *)
 
 let dp_data = [| 1.; 3.; 5.; 11.; 12.; 13.; 2.; 8. |]
 
@@ -206,7 +207,47 @@ let dp_rows ~n ~b =
   done;
   !rows
 
-let test_dp_kill_and_resume_everywhere () =
+(* The level engine checks its governor once per (tile, cell) visited,
+   tiles being [dp_tile_j] = 256 candidate splits wide: level k sweeps
+   tiles starting at k−1, k−1+256, … up to the last finite split — 0 at
+   level 1 (row 0 is finite only at column 0), n−1 above — and a tile
+   starting at [t] visits cells [max k (t+1) .. n].  While n ≤ 256 that
+   is one poll per cell.  Segmented builds size deterministic poll
+   budgets from this count, so it is pinned exactly. *)
+let tile_cell_polls ~n ~b =
+  let polls = ref 0 in
+  for k = 1 to b do
+    let last = if k = 1 then 0 else n - 1 in
+    let t = ref (k - 1) in
+    while !t <= last do
+      polls := !polls + (n - max k (!t + 1) + 1);
+      t := !t + 256
+    done
+  done;
+  !polls
+
+let expect_expiry ~n ~buckets ~cost budget =
+  let governor = Governor.create ~poll_budget:budget () in
+  match Dp.solve ~governor ~stage:"dp-test" ~n ~buckets ~cost () with
+  | _ -> Alcotest.failf "budget %d should expire" budget
+  | exception Governor.Deadline_exceeded { stage; reason; _ } ->
+      Alcotest.(check string) "stage" "dp-test" stage;
+      Alcotest.(check bool) "poll budget" true (reason = Governor.Poll_budget)
+
+let expect_completion ~n ~buckets ~cost ~base budget =
+  let r =
+    Dp.solve ~governor:(Governor.create ~poll_budget:budget ()) ~n ~buckets
+      ~cost ()
+  in
+  if not (Float.equal r.Dp.cost base.Dp.cost) then
+    Alcotest.failf "budget %d: cost %.17g <> %.17g" budget r.Dp.cost
+      base.Dp.cost;
+  Alcotest.(check (array int))
+    (Printf.sprintf "budget %d: rights" budget)
+    (Bucket.rights base.Dp.bucketing)
+    (Bucket.rights r.Dp.bucketing)
+
+let test_dp_poll_per_cell () =
   let p = Prefix.create dp_data in
   let n = Prefix.n p in
   let buckets = 3 in
@@ -214,65 +255,26 @@ let test_dp_kill_and_resume_everywhere () =
   let base = Dp.solve ~n ~buckets ~cost () in
   Helpers.check_close ~tol:1e-9 "dp = brute force" base.Dp.cost
     (brute_best ~n ~buckets ~cost);
-  let rows = dp_rows ~n ~b:buckets in
-  for budget = 1 to rows do
-    with_tmp ".ckpt" (fun path ->
-        let governor =
-          Governor.create ~deadline_mode:Governor.Snapshot ~poll_budget:budget
-            ()
-        in
-        match
-          Dp.solve ~governor ~checkpoint_path:path ~fingerprint:"dp-test" ~n
-            ~buckets ~cost ()
-        with
-        | _ -> Alcotest.failf "budget %d should interrupt" budget
-        | exception Governor.Interrupted { checkpoint; _ } ->
-            let resumed =
-              Dp.solve ~resume_from:checkpoint ~fingerprint:"dp-test" ~n
-                ~buckets ~cost ()
-            in
-            if not (Float.equal resumed.Dp.cost base.Dp.cost) then
-              Alcotest.failf "budget %d: resumed cost %.17g <> %.17g" budget
-                resumed.Dp.cost base.Dp.cost;
-            Alcotest.(check (array int))
-              (Printf.sprintf "budget %d: rights" budget)
-              (Bucket.rights base.Dp.bucketing)
-              (Bucket.rights resumed.Dp.bucketing))
+  let cells = dp_rows ~n ~b:buckets in
+  Alcotest.(check int) "one poll per cell" cells
+    (tile_cell_polls ~n ~b:buckets);
+  (* Every budget up to the cell count expires; one more completes. *)
+  for budget = 1 to cells do
+    expect_expiry ~n ~buckets ~cost budget
   done;
-  (* One more poll than there are rows: the run completes untouched. *)
-  with_tmp ".ckpt" (fun path ->
-      let governor =
-        Governor.create ~deadline_mode:Governor.Snapshot
-          ~poll_budget:(rows + 1) ()
-      in
-      let r =
-        Dp.solve ~governor ~checkpoint_path:path ~fingerprint:"dp-test" ~n
-          ~buckets ~cost ()
-      in
-      Alcotest.(check bool)
-        "completes past the last row" true
-        (Float.equal r.Dp.cost base.Dp.cost))
+  expect_completion ~n ~buckets ~cost ~base (cells + 1)
 
-let test_dp_resume_rejects_wrong_fingerprint () =
-  let p = Prefix.create dp_data in
-  let n = Prefix.n p in
-  let cost = dp_cost p in
-  with_tmp ".ckpt" (fun path ->
-      let governor =
-        Governor.create ~deadline_mode:Governor.Snapshot ~poll_budget:4 ()
-      in
-      (match
-         Dp.solve ~governor ~checkpoint_path:path ~fingerprint:"right" ~n
-           ~buckets:3 ~cost ()
-       with
-      | _ -> Alcotest.fail "should interrupt"
-      | exception Governor.Interrupted _ -> ());
-      (match Dp.solve ~resume_from:path ~fingerprint:"wrong" ~n ~buckets:3 ~cost () with
-      | _ -> Alcotest.fail "wrong fingerprint must be refused"
-      | exception Error.Rs_error (Error.Corrupt_checkpoint _) -> ());
-      match Dp.solve ~resume_from:path ~fingerprint:"right" ~n ~buckets:2 ~cost () with
-      | _ -> Alcotest.fail "wrong bucket count must be refused"
-      | exception Error.Rs_error (Error.Corrupt_checkpoint _) -> ())
+let test_dp_poll_per_tile_cell () =
+  let n = 600 and buckets = 3 in
+  let data = Array.init n (fun i -> float_of_int (((i * 37) + 11) mod 97)) in
+  let cost = dp_cost (Prefix.create data) in
+  let base = Dp.solve ~n ~buckets ~cost () in
+  let polls = tile_cell_polls ~n ~b:buckets in
+  (* 600 + 1029 + 1026: one tile at level 1, three at levels 2 and 3,
+     against 1797 cells *)
+  Alcotest.(check int) "tile-cell polls" 2655 polls;
+  expect_expiry ~n ~buckets ~cost polls;
+  expect_completion ~n ~buckets ~cost ~base (polls + 1)
 
 (* --- OPT-A kill-and-resume --- *)
 
@@ -750,12 +752,12 @@ let test_builder_checkpointed_build_matches_plain () =
 
 (* --- golden snapshot fixtures ---
 
-   The snapshot byte formats (dp-row-v1, opt-a-row-v1) are contractual:
-   resume is bit-identical, so refactors of the DP internals — matrix
-   storage, Ktbl slot layout, transition kernels — must not move a
-   single byte.  These tests regenerate a snapshot with the exact
-   recipe that produced the committed fixtures (test/fixtures/*.golden,
-   written by the pre-refactor code) and compare whole files.  If a
+   The opt-a-row-v1 snapshot byte format is contractual: resume is
+   bit-identical, so refactors of the DP internals — Ktbl slot layout,
+   transition kernels — must not move a single byte.  The test
+   regenerates a snapshot with the exact recipe that produced the
+   committed fixture (test/fixtures/opt-a-row-v1.golden, written by the
+   pre-refactor code) and compares whole files.  If a
    change legitimately revs a format, it must bump the snapshot kind
    and regenerate the fixture — never silently rewrite it. *)
 
@@ -776,24 +778,6 @@ let check_golden name got =
        bytes, regenerated %d bytes, first difference at offset %d)"
       name flen glen !d
   end
-
-let test_golden_dp_row_snapshot () =
-  let p = Prefix.create golden_data in
-  let ctx = Cost.make p in
-  with_tmp ".ckpt" (fun path ->
-      (try
-         ignore
-           (Dp.solve
-              ~governor:
-                (Governor.create ~deadline_mode:Governor.Snapshot
-                   ~poll_budget:30 ())
-              ~stage:"golden-dp" ~fingerprint:"golden-fixture"
-              ~checkpoint_path:path ~n:24 ~buckets:4
-              ~cost:(fun ~l ~r -> Cost.a0_bucket ctx ~l ~r)
-              ());
-         Alcotest.fail "golden dp run must be interrupted"
-       with Governor.Interrupted _ -> ());
-      check_golden "dp-row-v1.golden" (read_file path))
 
 let test_golden_opt_a_row_snapshot () =
   let p = Prefix.create golden_data in
@@ -833,17 +817,15 @@ let () =
           Alcotest.test_case "write seam" `Quick
             test_atomic_write_seam_fires_before_bytes;
         ] );
-      ( "dp-resume",
+      ( "dp-governor",
         [
-          Alcotest.test_case "kill at every row" `Quick
-            test_dp_kill_and_resume_everywhere;
-          Alcotest.test_case "identity checks" `Quick
-            test_dp_resume_rejects_wrong_fingerprint;
+          Alcotest.test_case "poll per cell at every budget" `Quick
+            test_dp_poll_per_cell;
+          Alcotest.test_case "poll per tile-cell at n=600" `Quick
+            test_dp_poll_per_tile_cell;
         ] );
       ( "golden",
         [
-          Alcotest.test_case "dp-row-v1 bytes" `Quick
-            test_golden_dp_row_snapshot;
           Alcotest.test_case "opt-a-row-v1 bytes" `Quick
             test_golden_opt_a_row_snapshot;
         ] );

@@ -213,8 +213,9 @@ let test_use_monotone () =
   Alcotest.(check bool) "auto uncertified" false
     (Dp.use_monotone ~engine:Dp.Auto ~certified:false);
   (* Through the method builders at jobs > 1 on sorted data: the
-     certified point cost runs (and delivers), the uncertified ones
-     stay on the level engine. *)
+     certified point cost runs (and delivers), the uncertified SAP1
+     cost stays on the level engine.  SAP0 and A0 take no engine: they
+     call the level engine directly. *)
   let rng = Rng.create 42 in
   let p = Prefix.create (sorted_data rng ~n:32 ~kind:1) in
   let h = Rs_histogram.Vopt.build ~jobs:2 p ~buckets:4 in
@@ -224,11 +225,7 @@ let test_use_monotone () =
       let auto : H.t = build Dp.Auto and level : H.t = build Dp.Level in
       if H.bucketing auto <> H.bucketing level then
         Alcotest.failf "%s: auto left the level engine on sorted data" name)
-    [
-      ("sap0", fun engine -> Rs_histogram.Sap0.build ~engine ~jobs:2 p ~buckets:4);
-      ("sap1", fun engine -> Rs_histogram.Sap1.build ~engine ~jobs:2 p ~buckets:4);
-      ("a0", fun engine -> Rs_histogram.A0.build ~engine p ~buckets:4);
-    ]
+    [ ("sap1", fun engine -> Rs_histogram.Sap1.build ~engine ~jobs:2 p ~buckets:4) ]
 
 (* Auto on an unsorted input must fall back to the level engine for
    every method — bit-identical synopses. *)
@@ -253,9 +250,7 @@ let prop_auto_fallback_unsorted =
           H.bucketing a = H.bucketing b)
         [
           (fun engine p ~buckets -> Rs_histogram.Vopt.build ~engine p ~buckets);
-          (fun engine p ~buckets -> Rs_histogram.Sap0.build ~engine p ~buckets);
           (fun engine p ~buckets -> Rs_histogram.Sap1.build ~engine p ~buckets);
-          (fun engine p ~buckets -> Rs_histogram.A0.build ~engine p ~buckets);
           (fun engine p ~buckets ->
             Rs_histogram.Prefix_opt.build ~engine p ~buckets);
         ])
@@ -303,7 +298,7 @@ let check_builder_error what r =
 
 (* The builder's remaining guard on the interval-DP methods: only
    opt-a checkpoints, so a checkpointed v-optimal build is refused
-   (the monotone engine it would run has no row prefix to snapshot).
+   (no Dp engine writes snapshots).
    Unguarded, a sorted v-optimal build at jobs = 2 runs the monotone
    engine and saves the same bytes as at jobs = 1. *)
 let test_builder_guards () =
@@ -535,21 +530,17 @@ let test_prefix_vector_surface () =
 
    The level DP's hot state lives in flat Tabs (lib/histogram/dp.ml):
    the e/parent matrices are Bigarray blocks the minor GC never scans,
-   and the per-level running-best scratch is allocated once.  With a
+   and the running best of a cell lives in the cell itself.  With a
    cost closure that returns a captured (pre-boxed) float — so the cost
    calls themselves allocate nothing — a whole solve must allocate O(1)
    minor words per DP row: a per-transition or per-cell allocation in
    the kernel would show up as O(n²·B) words and trip the budget by two
-   orders of magnitude. *)
+   orders of magnitude.  Governed builds take the same tiled sweep, so
+   the gate covers them too (the governor's per-cell poll included). *)
 let test_dp_solve_allocates_o1_per_row () =
   let n = 256 and buckets = 4 in
   let z = 0.5 in
   let cost ~l:_ ~r:_ = z in
-  let run () = ignore (Dp.solve ~n ~buckets ~cost ()) in
-  run () (* warm-up: one-time closure/setup allocations *);
-  let before = Gc.minor_words () in
-  run ();
-  let delta = Gc.minor_words () -. before in
   let rows =
     let r = ref 0 in
     for k = 1 to buckets do
@@ -561,11 +552,98 @@ let test_dp_solve_allocates_o1_per_row () =
      alcotest noise fit many times over, while one boxed float per
      transition alone would cost ~260k words here. *)
   let budget = 20_000. +. (64. *. float_of_int rows) in
-  if delta > budget then
-    Alcotest.failf
-      "Dp.solve allocated %.0f minor words (budget %.0f for %d rows): the \
-       kernel is allocating per cell or per transition"
-      delta budget rows
+  List.iter
+    (fun (label, governor) ->
+      let run () = ignore (Dp.solve ~governor:(governor ()) ~n ~buckets ~cost ()) in
+      run () (* warm-up: one-time closure/setup allocations *);
+      let before = Gc.minor_words () in
+      run ();
+      let delta = Gc.minor_words () -. before in
+      if delta > budget then
+        Alcotest.failf
+          "%s Dp.solve allocated %.0f minor words (budget %.0f for %d rows): \
+           the kernel is allocating per cell or per transition"
+          label delta budget rows)
+    [
+      ("ungoverned", fun () -> Governor.unlimited);
+      ("governed", fun () -> Governor.create ());
+    ]
+
+(* --- multi-tile schedules ---
+
+   Above [dp_tile_j] = 256 candidates the sequential sweep relaxes each
+   cell in several j-tiles, the pool relaxes whole cells per chunk and
+   the monotone engine relaxes divide-and-conquer windows.  All of them
+   run the one transition loop, so at n = 257 (one cell with a second
+   tile) and n = 600 (three tiles) every schedule must give the same
+   cost bits and bucketing as the ungoverned sequential run. *)
+let check_same_bits label (a : Dp.result) (b : Dp.result) =
+  if not (Int64.equal (Int64.bits_of_float a.Dp.cost) (Int64.bits_of_float b.Dp.cost))
+  then Alcotest.failf "%s: cost %h <> %h" label b.Dp.cost a.Dp.cost;
+  Alcotest.(check (array int))
+    (label ^ ": rights")
+    (Bucket.rights a.Dp.bucketing)
+    (Bucket.rights b.Dp.bucketing)
+
+let test_multi_tile_twins () =
+  let rng = Rng.create 0x7113 in
+  let buckets = 4 in
+  List.iter
+    (fun n ->
+      let inputs =
+        [
+          ("random", Array.init n (fun _ -> Rng.float rng *. 100.));
+          ("sorted", sorted_data rng ~n ~kind:1);
+        ]
+      in
+      List.iter
+        (fun (kind, data) ->
+          let ctx = Cost.make (Prefix.create data) in
+          let point = Cost.point_range_weighted ctx in
+          List.iter
+            (fun (cname, cost) ->
+              let entries =
+                [
+                  ( "solve",
+                    (fun ~governor ~jobs ->
+                      Dp.solve ~governor ~jobs ~n ~buckets ~cost ()),
+                    fun ~governor ->
+                      Dp.solve_monotone ~governor ~n ~buckets ~cost () );
+                  ( "exact",
+                    (fun ~governor ~jobs ->
+                      Dp.solve_exact_buckets ~governor ~jobs ~n ~buckets ~cost ()),
+                    fun ~governor ->
+                      Dp.solve_monotone_exact_buckets ~governor ~n ~buckets
+                        ~cost () );
+                ]
+              in
+              List.iter
+                (fun (entry, level, monotone) ->
+                  let label mode =
+                    Printf.sprintf "n=%d %s %s %s %s" n kind cname entry mode
+                  in
+                  let base = level ~governor:Governor.unlimited ~jobs:1 in
+                  List.iter
+                    (fun (mode, governor, jobs) ->
+                      check_same_bits (label mode) base
+                        (level ~governor:(governor ()) ~jobs))
+                    [
+                      ("governed", (fun () -> Governor.create ()), 1);
+                      ("jobs=2", (fun () -> Governor.unlimited), 2);
+                      ("jobs=4", (fun () -> Governor.unlimited), 4);
+                      ("governed jobs=2", (fun () -> Governor.create ()), 2);
+                    ];
+                  (* the point cost is QI-certified on sorted data *)
+                  if kind = "sorted" && cname = "point" then begin
+                    check_same_bits (label "monotone") base
+                      (monotone ~governor:Governor.unlimited);
+                    check_same_bits (label "governed monotone") base
+                      (monotone ~governor:(Governor.create ()))
+                  end)
+                entries)
+            [ ("point", point); ("a0", Cost.a0_bucket ctx) ])
+        inputs)
+    [ 257; 600 ]
 
 (* What the monotone engine buys is transitions, so count them: every
    transition is one call of the cost closure.  On a sorted n = 1023
@@ -648,6 +726,11 @@ let () =
          [
            Alcotest.test_case "O(1) minor words per row" `Quick
              test_dp_solve_allocates_o1_per_row;
+         ] );
+       ( "multi-tile",
+         [
+           Alcotest.test_case "every schedule, same bits" `Quick
+             test_multi_tile_twins;
          ] );
        ( "transitions",
          [

@@ -1,9 +1,10 @@
 (* The level-parallel DP engines: the Rs_util.Pool fork-join
    primitive itself and its inline/dispatched rule, rs_cli's refusal
    of job counts it cannot run, bit-identical Dp/Opt_a results across
-   job counts (bucketing, SSE, state counts), byte-identical snapshots
-   at matching positions, and cross-jobs kill-and-resume (a snapshot
-   taken at jobs=4 resumes at jobs=1 and vice versa). *)
+   job counts (bucketing, SSE, state counts), byte-identical OPT-A
+   snapshots at matching positions, and OPT-A cross-jobs
+   kill-and-resume (a snapshot taken at jobs=4 resumes at jobs=1 and
+   vice versa). *)
 
 module Pool = Rs_util.Pool
 module Governor = Rs_util.Governor
@@ -451,37 +452,6 @@ let test_opt_a_cross_jobs_resume () =
     [ (4, 1); (1, 4); (2, 2) ];
   Alcotest.(check bool) "at least one interruption" true !resumed_some
 
-let test_dp_cross_jobs_resume () =
-  let data = [| 1.; 3.; 5.; 11.; 12.; 13.; 2.; 8. |] in
-  let p = Prefix.create data in
-  let n = Prefix.n p in
-  let buckets = 3 in
-  let cost = dp_cost p in
-  let base = Dp.solve ~n ~buckets ~cost () in
-  let rows = dp_rows ~n ~b:buckets in
-  List.iter
-    (fun (kill_jobs, resume_jobs) ->
-      for budget = 1 to rows do
-        with_tmp ".ckpt" (fun path ->
-            let governor =
-              Governor.create ~deadline_mode:Governor.Snapshot
-                ~poll_budget:budget ()
-            in
-            match
-              Dp.solve ~governor ~checkpoint_path:path ~fingerprint:"xj"
-                ~jobs:kill_jobs ~n ~buckets ~cost ()
-            with
-            | r -> check_dp_equal (Printf.sprintf "budget %d done" budget) base r
-            | exception Governor.Interrupted { checkpoint; _ } ->
-                check_dp_equal
-                  (Printf.sprintf "budget %d kill@%d resume@%d" budget
-                     kill_jobs resume_jobs)
-                  base
-                  (Dp.solve ~resume_from:checkpoint ~fingerprint:"xj"
-                     ~jobs:resume_jobs ~n ~buckets ~cost ()))
-      done)
-    [ (4, 1); (1, 4) ]
-
 let () =
   Alcotest.run "parallel"
     [
@@ -532,7 +502,5 @@ let () =
         [
           Alcotest.test_case "opt-a kill/resume sweep" `Quick
             test_opt_a_cross_jobs_resume;
-          Alcotest.test_case "dp kill/resume sweep" `Quick
-            test_dp_cross_jobs_resume;
         ] );
     ]

@@ -4,7 +4,7 @@
    ingest/staleness/refresh lifecycle (random histories against a
    plain model, an O(1)-per-delta allocation pin) with its WAL
    durability contract (torn tails, double delivery, kill -9
-   mid-ingest, replay refusals), rolling windows, and the serving
+   mid-ingest, replay refusals), and the serving
    integration (ingest op, stale demotion, RMSE-bound suppression,
    restart durability). *)
 
@@ -757,73 +757,6 @@ let test_stream_kill9_after_ack () =
   check_bits "staleness replayed" 1.75 (Stream.staleness t).(0);
   check_bits "staleness replayed seg1" 2. (Stream.staleness t).(1)
 
-(* --- rolling windows --------------------------------------------------- *)
-
-let test_rolling_window () =
-  let n = 16 in
-  let r = Stream.Rolling.create ~n ~sub_windows:3 ~b:n in
-  let observe_batch weights =
-    Array.iteri
-      (fun i w -> if w > 0. then Stream.Rolling.observe r ~i:(i + 1) ~weight:w)
-      weights
-  in
-  let slice k = Array.init n (fun i -> float_of_int (((i + k) mod 5) + 1)) in
-  observe_batch (slice 0);
-  Stream.Rolling.rotate r;
-  observe_batch (slice 1);
-  Stream.Rolling.rotate r;
-  observe_batch (slice 2);
-  Alcotest.(check int) "three live slices" 3 (Stream.Rolling.sub_windows r);
-  (* window data is the pointwise slice sum *)
-  let expected =
-    Array.init n (fun i -> (slice 0).(i) +. (slice 1).(i) +. (slice 2).(i))
-  in
-  Array.iteri
-    (fun i v -> check_bits (Printf.sprintf "window[%d]" i) v
-        (Stream.Rolling.window_data r).(i))
-    expected;
-  (* full per-slice budget: the merged window synopsis is near-exact *)
-  let syn = Stream.Rolling.synopsis r in
-  let p = Prefix.create expected in
-  for a = 1 to n do
-    for b = a to n do
-      check_close ~tol:1e-9
-        (Printf.sprintf "window est [%d,%d]" a b)
-        (Prefix.range_sum p ~a ~b)
-        (W.estimate syn ~a ~b)
-    done
-  done;
-  (* a fourth slice expires the oldest: the window slides *)
-  Stream.Rolling.rotate r;
-  observe_batch (slice 3);
-  Alcotest.(check int) "cap holds" 3 (Stream.Rolling.sub_windows r);
-  let slid =
-    Array.init n (fun i -> (slice 1).(i) +. (slice 2).(i) +. (slice 3).(i))
-  in
-  Array.iteri
-    (fun i v -> check_bits (Printf.sprintf "slid[%d]" i) v
-        (Stream.Rolling.window_data r).(i))
-    slid;
-  let p = Prefix.create slid in
-  let syn = Stream.Rolling.synopsis r in
-  for a = 1 to n do
-    check_close ~tol:1e-9
-      (Printf.sprintf "slid est [%d,%d]" a n)
-      (Prefix.range_sum p ~a ~b:n)
-      (W.estimate syn ~a ~b:n)
-  done;
-  (* tight budgets stay bounded through the chained merge *)
-  let small = Stream.Rolling.create ~n ~sub_windows:4 ~b:3 in
-  for k = 0 to 5 do
-    Array.iteri
-      (fun i w -> if w > 0. then Stream.Rolling.observe small ~i:(i + 1) ~weight:w)
-      (slice k);
-    Stream.Rolling.rotate small
-  done;
-  Alcotest.(check bool)
-    "window budget bounded" true
-    (W.storage_words (Stream.Rolling.synopsis small) <= 2 * 3)
-
 (* --- serving: the ingest op, stale demotion, restart ------------------- *)
 
 let query_line ?id ?poll_budget ~synopsis ranges =
@@ -1293,8 +1226,6 @@ let () =
           Alcotest.test_case "replay refuses a negative result" `Quick
             test_replay_refuses_negative;
         ] );
-      ( "rolling",
-        [ Alcotest.test_case "rolling window" `Quick test_rolling_window ] );
       ( "serve",
         [
           Alcotest.test_case "ingest protocol round-trip" `Quick

@@ -122,32 +122,67 @@ let test_i2_layout () =
 
 (* --- Debug twins of the kernel index arithmetic ---
 
-   The DP level sweep hoists [prev = (k-1) * cols] and addresses row
-   k-1 reads at [prev + i], row k writes at [prev + cols + i]
-   (lib/histogram/dp.ml).  Re-run that arithmetic through the
-   bounds-checked Debug accessors on a sweep of shapes, including the
-   degenerate ones (one row, one column), and cross-check every cell
-   against the checked 2-D accessors. *)
+   The DP's one transition loop ([relax], lib/histogram/dp.ml) hoists
+   [prev = (k-1) * cols], reads the running best from the cell itself
+   at [prev + cols + i] (e and parent alike), scans row k-1 at
+   [prev + j] and writes the cell back.  Re-run that arithmetic
+   through the bounds-checked Debug accessors on a sweep of shapes,
+   including the degenerate ones (one row, one column), splitting
+   every window into two ascending pieces as the tiled sweep does,
+   and cross-check every cell against a plain-array reference. *)
 let test_debug_twin_dp_row_sweep () =
+  let cost ~j ~i = float_of_int (((i - j) * 3) mod 7) in
   List.iter
     (fun (rows, cols) ->
-      let e = Tab.f2_create ~rows ~cols in
-      let buf = e.Tab.fbuf in
+      let e = Tab.f2_create ~rows ~cols and p = Tab.i2_create ~rows ~cols in
+      Tab.f2_fill e Float.infinity;
+      Tab.i2_fill p (-1);
+      let ebuf = e.Tab.fbuf and pbuf = p.Tab.ibuf in
+      let row0 c = float_of_int (((c * 5) mod 4) + 1) in
       for c = 0 to cols - 1 do
-        Tab.Debug.f1_unsafe_set buf c (float_of_int (c + 1))
+        Tab.Debug.f1_unsafe_set ebuf c (row0 c)
+      done;
+      let relax k i ~jlo ~jhi =
+        let prev = (k - 1) * cols in
+        let cell = prev + cols + i in
+        let best = ref (Tab.Debug.f1_unsafe_get ebuf cell)
+        and best_j = ref (Tab.Debug.i1_unsafe_get pbuf cell) in
+        for j = jlo to jhi do
+          let c = Tab.Debug.f1_unsafe_get ebuf (prev + j) +. cost ~j ~i in
+          if c < !best then begin
+            best := c;
+            best_j := j
+          end
+        done;
+        Tab.Debug.f1_unsafe_set ebuf cell !best;
+        Tab.Debug.i1_unsafe_set pbuf cell !best_j
+      in
+      for k = 1 to rows - 1 do
+        for i = 0 to cols - 1 do
+          relax k i ~jlo:0 ~jhi:(i / 2);
+          relax k i ~jlo:((i / 2) + 1) ~jhi:i
+        done
+      done;
+      let want = Array.make_matrix rows cols Float.infinity in
+      let want_j = Array.make_matrix rows cols (-1) in
+      for c = 0 to cols - 1 do
+        want.(0).(c) <- row0 c
       done;
       for k = 1 to rows - 1 do
-        let prev = (k - 1) * cols in
         for i = 0 to cols - 1 do
-          let v = Tab.Debug.f1_unsafe_get buf (prev + i) in
-          Tab.Debug.f1_unsafe_set buf (prev + cols + i) (v *. 2.)
+          for j = 0 to i do
+            let c = want.(k - 1).(j) +. cost ~j ~i in
+            if c < want.(k).(i) then begin
+              want.(k).(i) <- c;
+              want_j.(k).(i) <- j
+            end
+          done
         done
       done;
       for r = 0 to rows - 1 do
         for c = 0 to cols - 1 do
-          Alcotest.(check (float 0.)) "sweep cell"
-            (float_of_int (c + 1) *. Float.of_int (1 lsl r))
-            (Tab.f2_get e r c)
+          Alcotest.(check (float 0.)) "sweep cell" want.(r).(c) (Tab.f2_get e r c);
+          Alcotest.(check int) "sweep argmin" want_j.(r).(c) (Tab.i2_get p r c)
         done
       done)
     [ (1, 1); (1, 7); (5, 1); (4, 6); (3, 64) ]
