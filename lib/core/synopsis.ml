@@ -90,7 +90,6 @@ let batch_plan t =
       let bk = H.bucketing h in
       let n = Bucket.n bk in
       let buckets = Bucket.count bk in
-      let index = Bucket.positions bk in
       let bucket_lo = Array.init buckets (fun k -> fst (Bucket.bounds bk k)) in
       let bucket_hi = Array.init buckets (fun k -> snd (Bucket.bounds bk k)) in
       let ends =
@@ -108,7 +107,7 @@ let batch_plan t =
                 pref_intercept = Array.map (fun f -> f.R.intercept) pref;
               }
       in
-      Batch.bucketed ~n ~rounded:(H.rounded h) ~index ~bucket_lo ~bucket_hi
+      Batch.bucketed ~n ~rounded:(H.rounded h) ~bucket_lo ~bucket_hi
         ~avg:(H.avg_values h) ~cum:(H.cum_vector h) ends
 
 let metrics ds t = Error.metrics_all_ranges (Dataset.prefix ds) (estimator t)

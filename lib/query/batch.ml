@@ -53,21 +53,29 @@ let two_sided ~n ~right ~left =
   in
   Two_sided { n; right = right_tab; left = left_tab }
 
-let bucketed ~n ~rounded ~index ~bucket_lo ~bucket_hi ~avg ~cum ends =
+let bucketed ~n ~rounded ~bucket_lo ~bucket_hi ~avg ~cum ends =
   ignore (Checks.positive ~name:"Batch.bucketed n" n);
   let b = Array.length avg in
   ignore (Checks.positive ~name:"Batch.bucketed buckets" b);
-  Checks.check (Array.length index = n) "Batch.bucketed: index must have length n";
   Checks.check
     (Array.length bucket_lo = b && Array.length bucket_hi = b)
     "Batch.bucketed: bucket bound arrays must have one entry per bucket";
   Checks.check
     (Array.length cum = b + 1)
     "Batch.bucketed: cum must have length buckets+1";
-  Array.iter
-    (fun k ->
-      Checks.check (k >= 0 && k < b) "Batch.bucketed: bucket index out of range")
-    index;
+  (* The position index, written bucket by bucket straight into its
+     table; the bounds must tile [1..n] for every cell to be written. *)
+  let index = Tab.i1_create n in
+  for k = 0 to b - 1 do
+    let lo = bucket_lo.(k) and hi = bucket_hi.(k) in
+    Checks.check
+      (lo = (if k = 0 then 1 else bucket_hi.(k - 1) + 1) && lo <= hi && hi <= n)
+      "Batch.bucketed: bucket bounds must tile 1..n in order";
+    for i = lo - 1 to hi - 1 do
+      index.{i} <- k
+    done
+  done;
+  Checks.check (bucket_hi.(b - 1) = n) "Batch.bucketed: bucket bounds must tile 1..n in order";
   let check_side what arr =
     Checks.check (Array.length arr = b)
       (what ^ " must have one entry per bucket")
@@ -96,7 +104,7 @@ let bucketed ~n ~rounded ~index ~bucket_lo ~bucket_hi ~avg ~cum ends =
     {
       n;
       rounded;
-      index = Tab.i1_of_array index;
+      index;
       bl = Tab.i1_of_array bucket_lo;
       br = Tab.i1_of_array bucket_hi;
       avg = Tab.f1_of_array avg;

@@ -43,19 +43,19 @@ val two_sided : n:int -> right:float array -> left:float array option -> t
 val bucketed :
   n:int ->
   rounded:bool ->
-  index:int array ->
   bucket_lo:int array ->
   bucket_hi:int array ->
   avg:float array ->
   cum:float array ->
   ends_spec ->
   t
-(** Histogram plan: [index] maps 0-based position [i−1] to its bucket,
-    [bucket_lo]/[bucket_hi] are 1-based bucket bounds, [avg] the
-    per-bucket intra value, [cum] the cumulative weighted sums
-    (length buckets+1).  [rounded] applies [Float.round] per answer,
-    after the raw estimate — the same place [Histogram.estimate]
-    rounds.  Raises [Invalid_argument] on inconsistent shapes. *)
+(** Histogram plan: [bucket_lo]/[bucket_hi] are 1-based bucket bounds
+    tiling [1..n] in order (the plan derives its position→bucket index
+    from them), [avg] the per-bucket intra value, [cum] the cumulative
+    weighted sums (length buckets+1).  [rounded] applies [Float.round]
+    per answer, after the raw estimate — the same place
+    [Histogram.estimate] rounds.  Raises [Invalid_argument] on
+    inconsistent shapes or bounds that do not tile [1..n]. *)
 
 val n : t -> int
 (** Domain size the plan answers over. *)

@@ -19,6 +19,7 @@ let of_fun ~m f =
   { c }
 
 let of_array x = of_fun ~m:(Array.length x) (Array.get x)
+let of_table c = { c }
 let length t = Tab.f1_len t.c - 1
 let table t = t.c
 

@@ -15,6 +15,13 @@ val of_fun : m:int -> (int -> float) -> t
 (** [of_fun ~m f] builds a table over [f 0, ..., f (m-1)].
     Raises [Invalid_argument] if [m < 0] or any value is not finite. *)
 
+val of_table : Tab.f1 -> t
+(** [of_table c] wraps a cumulative table the caller has filled
+    itself — the {!table} layout, [c.(0) = 0.] and
+    [c.(i) = Σ_{j<i} x(j)] — without copying it.  For closure-free
+    builders ({!Prefix.create}) that run the [of_fun] fold inline; the
+    table must not be written afterwards. *)
+
 val length : t -> int
 (** Number of values in the table. *)
 

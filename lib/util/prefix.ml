@@ -8,25 +8,90 @@ type t = {
   ca2 : Cum.t; (* cumulative of A[i]², i = 1..n *)
 }
 
-let create a =
+(* The first non-finite moment value, reported as the per-moment
+   [Cum.of_fun] builds did.  Those ran as the fields of one record
+   literal, which OCaml evaluates right to left: every A[i]² first, then
+   t·P[t], then P[t]², then P[t]. *)
+let raise_first_non_finite ~n p a =
+  let check v = ignore (Checks.finite ~name:"Cum.of_fun" v) in
+  Array.iter (fun v -> check (v *. v)) a;
+  for t = 0 to n do
+    check (float_of_int t *. Tab.f1_get p t)
+  done;
+  for t = 0 to n do
+    check (Tab.f1_get p t *. Tab.f1_get p t)
+  done;
+  for t = 0 to n do
+    check (Tab.f1_get p t)
+  done
+
+(* [a] is owned: kept as the data, never copied.  P is the plain left
+   fold; the four moment tables run [Cum.of_fun]'s Kahan fold body side
+   by side in one closure-free loop — each chain's operations in the
+   same order as its own [of_fun] build, so the same bits, with the
+   running sums in unboxed local refs instead of a boxed value per
+   element through a closure.  The [.{}] accesses are bounds-checked
+   and compile inline, unboxed. *)
+let of_owned a =
   let a = Checks.non_empty_array ~name:"Prefix.create" a in
   let n = Array.length a in
-  Array.iter (fun v -> ignore (Checks.finite ~name:"Prefix.create" v)) a;
+  for i = 0 to n - 1 do
+    if not (Float.is_finite a.(i)) then
+      ignore (Checks.finite ~name:"Prefix.create" a.(i))
+  done;
   let p = Tab.f1_create (n + 1) in
   for i = 1 to n do
-    Tab.f1_set p i (Tab.f1_get p (i - 1) +. a.(i - 1))
+    p.{i} <- p.{i - 1} +. a.(i - 1)
   done;
+  let cp = Tab.f1_create (n + 2) and cp2 = Tab.f1_create (n + 2) in
+  let ctp = Tab.f1_create (n + 2) and ca2 = Tab.f1_create (n + 1) in
+  let s_p = ref 0. and c_p = ref 0. and s_p2 = ref 0. and c_p2 = ref 0. in
+  let s_tp = ref 0. and c_tp = ref 0. and s_a2 = ref 0. and c_a2 = ref 0. in
+  let finite = ref true in
+  for t = 0 to n do
+    let pt = p.{t} in
+    let x_p = pt and x_p2 = pt *. pt and x_tp = float_of_int t *. pt in
+    if not (Float.is_finite x_p && Float.is_finite x_p2 && Float.is_finite x_tp)
+    then finite := false;
+    let y = x_p -. !c_p in
+    let u = !s_p +. y in
+    c_p := u -. !s_p -. y;
+    s_p := u;
+    cp.{t + 1} <- u;
+    let y = x_p2 -. !c_p2 in
+    let u = !s_p2 +. y in
+    c_p2 := u -. !s_p2 -. y;
+    s_p2 := u;
+    cp2.{t + 1} <- u;
+    let y = x_tp -. !c_tp in
+    let u = !s_tp +. y in
+    c_tp := u -. !s_tp -. y;
+    s_tp := u;
+    ctp.{t + 1} <- u;
+    if t < n then begin
+      let v = a.(t) in
+      let x_a2 = v *. v in
+      if not (Float.is_finite x_a2) then finite := false;
+      let y = x_a2 -. !c_a2 in
+      let u = !s_a2 +. y in
+      c_a2 := u -. !s_a2 -. y;
+      s_a2 := u;
+      ca2.{t + 1} <- u
+    end
+  done;
+  if not !finite then raise_first_non_finite ~n p a;
   {
     n;
-    a = Array.copy a;
+    a;
     p;
-    cp = Cum.of_fun ~m:(n + 1) (fun t -> Tab.f1_get p t);
-    cp2 = Cum.of_fun ~m:(n + 1) (fun t -> Tab.f1_get p t *. Tab.f1_get p t);
-    ctp = Cum.of_fun ~m:(n + 1) (fun t -> float_of_int t *. Tab.f1_get p t);
-    ca2 = Cum.of_fun ~m:n (fun i -> a.(i) *. a.(i));
+    cp = Cum.of_table cp;
+    cp2 = Cum.of_table cp2;
+    ctp = Cum.of_table ctp;
+    ca2 = Cum.of_table ca2;
   }
 
-let of_ints a = create (Array.map float_of_int a)
+let create a = of_owned (Array.copy a)
+let of_ints a = of_owned (Array.map float_of_int a)
 let n t = t.n
 
 let value t i =

@@ -20,6 +20,12 @@ val create : float array -> t
     [i = 1..n] where [n = Array.length a].  Raises [Invalid_argument] if
     [a] is empty or contains non-finite values. *)
 
+val of_owned : float array -> t
+(** [create] without the defensive copy: the result keeps [a] itself
+    as its data, so the caller must not write to [a] afterwards.  For
+    loaders that already hold a private array ({!Rs_core.Dataset}).
+    Same checks and messages as [create]. *)
+
 val of_ints : int array -> t
 (** [of_ints a] is [create] on the float image of [a]. *)
 

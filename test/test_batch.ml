@@ -73,9 +73,13 @@ let subjects =
        Dataset.of_ints ~name:"batch-rand"
          (Array.init 193 (fun _ -> Rng.int rng 50))
      in
+     (* Exact OPT-A gets 8 words: at 24 it takes minutes on these
+        inputs, at 8 seconds, and every representation stays covered. *)
      let built ds =
        List.map
-         (fun m -> (Dataset.name ds ^ "/" ^ m, ds, Builder.build ds ~method_name:m ~budget_words:24))
+         (fun m ->
+           let budget_words = if m = "opt-a" then 8 else 24 in
+           (Dataset.name ds ^ "/" ^ m, ds, Builder.build ds ~method_name:m ~budget_words))
          [
            "point-opt";
            "a0";

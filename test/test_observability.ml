@@ -331,6 +331,28 @@ let test_span_ring_bounded () =
     "oldest surviving span is capacity+10 back" "ring.11"
     (List.hd spans).Trace.sp_name
 
+(* Loading a dataset file records the layers perfbench's traced build
+   names: one [dataset.load] span with [prefix.create] inside it. *)
+let test_dataset_load_spans () =
+  with_fresh @@ fun () ->
+  let path = Filename.temp_file "rs_obs" ".data" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc "3\n# c\n1.5\n4\n");
+  Trace.enable ();
+  ignore (Error.get (Rs_core.Dataset.load_result path));
+  match Trace.spans () with
+  | [ inner; outer ] ->
+      Alcotest.(check string) "child" "prefix.create" inner.Trace.sp_name;
+      Alcotest.(check string) "parent" "dataset.load" outer.Trace.sp_name;
+      Alcotest.(check bool)
+        "prefix.create lies inside dataset.load" true
+        (outer.Trace.sp_start <= inner.Trace.sp_start
+        && inner.Trace.sp_start +. inner.Trace.sp_duration
+           <= outer.Trace.sp_start +. outer.Trace.sp_duration)
+  | spans ->
+      Alcotest.failf "expected two spans, got [%s]"
+        (String.concat "; " (List.map (fun sp -> sp.Trace.sp_name) spans))
+
 (* --- Engine integration: per-solve counters, worker isolation --------- *)
 
 let opt_a_workload ~jobs () =
@@ -728,6 +750,7 @@ let () =
           Alcotest.test_case "spans record (and survive raises)" `Quick
             test_spans_record_and_survive_exceptions;
           Alcotest.test_case "ring is bounded" `Quick test_span_ring_bounded;
+          Alcotest.test_case "dataset load spans" `Quick test_dataset_load_spans;
         ] );
       ( "engine",
         [
