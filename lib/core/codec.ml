@@ -92,104 +92,65 @@ let to_string ?(version = version) s =
 
 (* --- parsing --- *)
 
-(* Internal only: [decode_result] is the boundary that turns this into a
-   typed [Corrupt_synopsis]. *)
-exception Parse_error of { line : int; reason : string }
+module Cursor = Rs_util.Checkpoint.Cursor
 
-type cursor = { mutable lines : (int * string) list }
+(* Scalar fields take the rest of their line as it is ("n  5" is not an
+   int); arrays take its words. *)
+let rest_int cur = Cursor.int_of cur (Cursor.rest cur)
 
-let fail lineno fmt =
-  Printf.ksprintf
-    (fun reason -> raise (Parse_error { line = lineno; reason }))
-    fmt
-
-let next cur =
-  match cur.lines with
-  | [] -> raise (Parse_error { line = 0; reason = "unexpected end of input" })
-  | (no, l) :: rest ->
-      cur.lines <- rest;
-      (no, l)
-
-let split_kv lineno line =
-  match String.index_opt line ' ' with
-  | None -> (line, "")
-  | Some i ->
-      ignore lineno;
-      (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
-
-let expect cur key =
-  let no, line = next cur in
-  let k, v = split_kv no line in
-  if k <> key then fail no "expected %S, got %S" key k;
-  (no, v)
+let field_floats cur key =
+  Cursor.expect cur key;
+  Cursor.floats cur
 
 (* Every float in a synopsis file is an answering value (averages,
    suffix/prefix sums, fits, coefficients): a NaN or infinity would
-   turn estimates into NaN, so it is corruption even under a valid CRC. *)
-let parse_float no s =
-  match float_of_string_opt s with
-  | Some v when Float.is_finite v -> v
-  | Some _ -> fail no "non-finite value: %S" s
-  | None -> fail no "not a float: %S" s
-
-let parse_int no s =
-  match int_of_string_opt s with Some v -> v | None -> fail no "not an int: %S" s
-
-let words s =
-  List.filter (fun w -> w <> "") (String.split_on_char ' ' s)
-
-let parse_floats no s = Array.of_list (List.map (parse_float no) (words s))
-let parse_ints no s = Array.of_list (List.map (parse_int no) (words s))
-
-let parse_coeffs no s =
+   turn estimates into NaN, so {!Cursor.float} refuses it as corruption
+   even under a valid CRC. *)
+let read_coeffs cur =
   Array.of_list
     (List.map
        (fun w ->
          match String.index_opt w ':' with
-         | None -> fail no "expected index:value, got %S" w
+         | None -> Cursor.fail cur "expected index:value, got %S" w
          | Some i ->
-             ( parse_int no (String.sub w 0 i),
-               parse_float no (String.sub w (i + 1) (String.length w - i - 1)) ))
-       (words s))
-
-let expect_floats cur key =
-  let no, v = expect cur key in
-  parse_floats no v
+             ( Cursor.int_of cur (String.sub w 0 i),
+               Cursor.float_of cur
+                 (String.sub w (i + 1) (String.length w - i - 1)) ))
+       (Cursor.words cur))
 
 let parse_histogram cur =
-  let no_name, name = expect cur "name" in
-  ignore no_name;
-  let no_n, n_str = expect cur "n" in
-  let n = parse_int no_n n_str in
-  let no_r, rounded_str = expect cur "rounded" in
+  Cursor.expect cur "name";
+  let name = Cursor.rest cur in
+  Cursor.expect cur "n";
+  let n = rest_int cur in
+  Cursor.expect cur "rounded";
   let rounded =
-    match bool_of_string_opt rounded_str with
+    match bool_of_string_opt (Cursor.rest cur) with
     | Some b -> b
-    | None -> fail no_r "not a bool: %S" rounded_str
+    | None -> Cursor.fail cur "not a bool: %S" (Cursor.rest cur)
   in
-  let no_rights, rights_str = expect cur "rights" in
-  let rights = parse_ints no_rights rights_str in
-  let bucketing = Bucket.of_rights ~n rights in
-  let no_repr, repr_kind = expect cur "repr" in
+  Cursor.expect cur "rights";
+  let bucketing = Bucket.of_rights ~n (Cursor.ints cur) in
+  Cursor.expect cur "repr";
   let repr =
-    match repr_kind with
-    | "avg" -> H.Avg (expect_floats cur "values")
+    match Cursor.rest cur with
+    | "avg" -> H.Avg (field_floats cur "values")
     | "sap0" ->
-        let suff = expect_floats cur "suff" in
-        let pref = expect_floats cur "pref" in
+        let suff = field_floats cur "suff" in
+        let pref = field_floats cur "pref" in
         H.Sap0 { suff; pref }
     | "sap0x" ->
-        let avg = expect_floats cur "avg" in
-        let suff = expect_floats cur "suff" in
-        let pref = expect_floats cur "pref" in
+        let avg = field_floats cur "avg" in
+        let suff = field_floats cur "suff" in
+        let pref = field_floats cur "pref" in
         H.Sap0_explicit { avg; suff; pref }
     | "sap1" ->
-        let ss = expect_floats cur "suff_slope" in
-        let si = expect_floats cur "suff_icept" in
-        let sr = expect_floats cur "suff_rss" in
-        let ps = expect_floats cur "pref_slope" in
-        let pi = expect_floats cur "pref_icept" in
-        let pr = expect_floats cur "pref_rss" in
+        let ss = field_floats cur "suff_slope" in
+        let si = field_floats cur "suff_icept" in
+        let sr = field_floats cur "suff_rss" in
+        let ps = field_floats cur "pref_slope" in
+        let pi = field_floats cur "pref_icept" in
+        let pr = field_floats cur "pref_rss" in
         let fits slope icept rss =
           Rs_util.Checks.check
             (Array.length slope = Array.length icept
@@ -203,45 +164,29 @@ let parse_histogram cur =
               })
         in
         H.Sap1 { suff = fits ss si sr; pref = fits ps pi pr }
-    | other -> fail no_repr "unknown histogram repr %S" other
+    | other -> Cursor.fail cur "unknown histogram repr %S" other
   in
   Synopsis.Histogram (H.make ~rounded ~name bucketing repr)
 
 let parse_wavelet cur =
-  let _, name = expect cur "name" in
-  let no_n, n_str = expect cur "n" in
-  let n = parse_int no_n n_str in
-  let no_d, domain = expect cur "domain" in
-  let no_c, coeffs_str = expect cur "coeffs" in
-  let coeffs = parse_coeffs no_c coeffs_str in
+  Cursor.expect cur "name";
+  let name = Cursor.rest cur in
+  Cursor.expect cur "n";
+  let n = rest_int cur in
+  Cursor.expect cur "domain";
+  let domain = Cursor.rest cur and domain_line = Cursor.line cur in
+  Cursor.expect cur "coeffs";
+  let coeffs = read_coeffs cur in
   match domain with
   | "data" -> Synopsis.Wavelet (W.of_coefficients ~name ~n W.Data coeffs)
   | "prefix" -> Synopsis.Wavelet (W.of_coefficients ~name ~n W.Prefix_sums coeffs)
   | "two-sided" ->
-      let no_l, left_str = expect cur "left" in
-      let left = parse_coeffs no_l left_str in
+      Cursor.expect cur "left";
+      let left = read_coeffs cur in
       Synopsis.Wavelet (W.of_two_sided ~name ~n coeffs left)
-  | other -> fail no_d "unknown wavelet domain %S" other
-
-let parse_body ~first_line body =
-  let lines =
-    List.filteri
-      (fun _ (_, l) -> String.trim l <> "")
-      (List.mapi
-         (fun i l -> (i + first_line, String.trim l))
-         (String.split_on_char '\n' body))
-  in
-  let cur = { lines } in
-  let no_k, kind = expect cur "kind" in
-  match kind with
-  | "histogram" -> parse_histogram cur
-  | "wavelet" -> parse_wavelet cur
-  | other -> fail no_k "unknown kind %S" other
-
-let split_first_line s =
-  match String.index_opt s '\n' with
-  | None -> (s, "")
-  | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  | other ->
+      let reason = Printf.sprintf "unknown wavelet domain %S" other in
+      Error.raise_error (Error.Corrupt_synopsis { line = domain_line; reason })
 
 (* CRLF-tolerant: CR bytes are stripped before anything (including the
    CRC) looks at the content, so both line conventions verify and parse
@@ -251,33 +196,23 @@ let normalize s =
     String.concat "" (String.split_on_char '\r' s)
   else s
 
+let error ~line reason = Error.Corrupt_synopsis { line; reason }
+
 let decode s =
   Faults.trip "codec.decode";
-  let s = normalize s in
-  let header, rest = split_first_line s in
-  match words (String.trim header) with
-  | [ "range-synopsis"; "1" ] -> parse_body ~first_line:2 rest
-  | [ "range-synopsis"; "2" ] -> (
-      let crc_line, body = split_first_line rest in
-      match words (String.trim crc_line) with
-      | [ "crc"; hex ] -> (
-          match Crc32.of_hex hex with
-          | None -> fail 2 "malformed crc %S" hex
-          | Some expected ->
-              let actual = Crc32.string body in
-              if actual <> expected then
-                fail 2 "CRC mismatch: stored %s, computed %s" hex
-                  (Crc32.to_hex actual);
-              parse_body ~first_line:3 body)
-      | _ -> fail 2 "expected a crc line, got %S" crc_line)
-  | [ "range-synopsis"; v ] -> fail 1 "unsupported version %s" v
-  | _ -> fail 1 "not a range-synopsis file"
+  let kind, cur =
+    Rs_util.Checkpoint.unframe ~legacy:1 ~magic:"range-synopsis" ~version
+      ~error (normalize s)
+  in
+  match kind with
+  | "histogram" -> parse_histogram cur
+  | "wavelet" -> parse_wavelet cur
+  | other -> Cursor.fail cur "unknown kind %S" other
 
 let decode_result s =
   match decode s with
   | v -> Ok v
-  | exception Parse_error { line; reason } ->
-      Error.fail (Error.Corrupt_synopsis { line; reason })
+  | exception Error.Rs_error (Error.Corrupt_synopsis _ as e) -> Error e
   | exception Invalid_argument reason ->
       (* Structural constraints (bucket bounds, array lengths) enforced
          by the constructors downstream of parsing. *)
@@ -286,13 +221,6 @@ let decode_result s =
       Error.fail
         (Error.Corrupt_synopsis
            { line = 0; reason = Printf.sprintf "%s: %s" site reason })
-
-let of_string s =
-  match decode_result s with
-  | Ok v -> v
-  | Error (Error.Corrupt_synopsis { line; reason }) ->
-      invalid_arg (Printf.sprintf "Codec: line %d: %s" line reason)
-  | Error e -> invalid_arg ("Codec: " ^ Error.to_string e)
 
 (* Crash-safe: encode fully in memory, then temp file + fsync + atomic
    rename via {!Rs_util.Checkpoint} — a crash mid-save leaves the old
@@ -310,19 +238,5 @@ let save_result s path =
       Error.fail (Error.Io_failure { path; reason })
 
 let load_result path =
-  match
-    Faults.trip "codec.load";
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error reason -> Error.fail (Error.Io_failure { path; reason })
-  | exception Faults.Injected { reason; _ } ->
-      Error.fail (Error.Io_failure { path; reason })
-  | content -> decode_result content
-
-let load path =
-  match load_result path with
-  | Ok s -> s
-  | Error e -> invalid_arg ("Codec: " ^ Error.to_string e)
+  Result.bind (Rs_util.Checkpoint.read_file ~seam:"codec.load" path)
+    decode_result

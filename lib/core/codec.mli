@@ -21,6 +21,9 @@
     values 0x1p+1 0x1p+3 0x1.9p+3
     v}
 
+    The frame is {!Rs_util.Checkpoint.unframe}'s (the checkpoint
+    container's shape under the magic [range-synopsis]) and the body is
+    read with its {!Rs_util.Checkpoint.Cursor}, trimming each line.
     CR bytes are stripped before checksumming and parsing, so CRLF and
     LF files are equivalent.  {!decode_result} returns every failure —
     unknown versions or kinds, malformed bodies, checksum mismatches —
@@ -35,10 +38,6 @@ val decode_result : string -> (Synopsis.t, Rs_util.Error.t) result
 (** Parse either format version.  All failures are
     [Error (Corrupt_synopsis _)]. *)
 
-val of_string : string -> Synopsis.t
-(** [decode_result], raising [Invalid_argument] with a line-numbered
-    message (legacy interface). *)
-
 val save : Synopsis.t -> string -> unit
 (** Write (always v2), atomically: temp file + [fsync] + [rename]
     ({!Rs_util.Checkpoint.write_atomic}), so a crash mid-save leaves
@@ -51,9 +50,6 @@ val save_result : Synopsis.t -> string -> (unit, Rs_util.Error.t) result
     fault) returned as [Error (Io_failure _)]. *)
 
 val load_result : string -> (Synopsis.t, Rs_util.Error.t) result
-(** Read and decode a file: [Io_failure] when the OS refuses the read,
+(** Read ({!Rs_util.Checkpoint.read_file}, fault seam ["codec.load"])
+    and decode a file: [Io_failure] when the OS refuses the read,
     [Corrupt_synopsis] on malformed content. *)
-
-val load : string -> Synopsis.t
-(** [load_result], raising [Invalid_argument] on any error (legacy
-    interface). *)

@@ -179,14 +179,9 @@ let parse_values s =
 
 let load_result ?(policy = Reject) path =
   Rs_util.Trace.with_span "dataset.load" @@ fun () ->
-  match
-    Rs_util.Faults.trip "dataset.load";
-    In_channel.with_open_bin path In_channel.input_all
-  with
-  | exception Sys_error reason -> Error.fail (Error.Io_failure { path; reason })
-  | exception Rs_util.Faults.Injected { reason; _ } ->
-      Error.fail (Error.Io_failure { path; reason })
-  | text -> (
+  match Rs_util.Checkpoint.read_file ~seam:"dataset.load" path with
+  | Error _ as e -> e
+  | Ok text -> (
       match parse_values text with
       | exception Not_a_number (line, text) ->
           Error.fail

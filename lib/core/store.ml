@@ -2,6 +2,7 @@ module Error = Rs_util.Error
 module Crc32 = Rs_util.Crc32
 module Faults = Rs_util.Faults
 module Checkpoint = Rs_util.Checkpoint
+module Cursor = Checkpoint.Cursor
 module Metrics = Rs_util.Metrics
 module Trace = Rs_util.Trace
 
@@ -82,12 +83,6 @@ let mkdir_p path =
       Error.raise_error
         (Error.Io_failure { path; reason = Unix.error_message e })
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let store_manifest_path t = Filename.concat t.dir manifest_file
 
 let manifest_body entries =
@@ -104,23 +99,22 @@ let save_store_manifest t =
   Checkpoint.save ~path:(store_manifest_path t) ~kind:manifest_kind
     (manifest_body t.entries)
 
+(* One [entry <name> <crc>] line per entry. *)
 let parse_manifest ~path body =
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' body)
+  let cur = Cursor.of_body ~path body in
+  let rec go acc =
+    if Cursor.at_end cur then List.rev acc
+    else begin
+      Cursor.expect cur "entry";
+      let name = Cursor.word cur in
+      let crc = Cursor.word cur in
+      Cursor.finish cur;
+      if not (valid_name name && Crc32.of_hex crc <> None) then
+        Cursor.fail cur "bad manifest entry %S %S" name crc;
+      go ((name, crc) :: acc)
+    end
   in
-  List.map
-    (fun line ->
-      match
-        List.filter (fun w -> w <> "") (String.split_on_char ' ' line)
-      with
-      | [ "entry"; name; crc ] when valid_name name && Crc32.of_hex crc <> None
-        ->
-          (name, crc)
-      | _ ->
-          Error.raise_error
-            (Error.Corrupt_checkpoint
-               { path; reason = Printf.sprintf "bad manifest line %S" line }))
-    lines
+  go []
 
 (* Scan the directory for decodable entries and rebuild the manifest
    from what is actually there — the self-healing path used when the
@@ -134,9 +128,9 @@ let rebuild_entries t =
       match name_of_file file with
       | None -> ()
       | Some name -> (
-          match read_file (Filename.concat t.dir file) with
-          | exception Sys_error _ -> ()
-          | content -> (
+          match Checkpoint.read_file (Filename.concat t.dir file) with
+          | Error _ -> ()
+          | Ok content -> (
               match Codec.decode_result content with
               | Ok _ -> entries := (name, Crc32.digest content) :: !entries
               | Error _ -> ())))
@@ -186,9 +180,9 @@ let get t ~name =
   check_name name;
   Metrics.count "store.gets" 1;
   let path = entry_path t name in
-  match read_file path with
-  | exception Sys_error reason -> Error.fail (Error.Io_failure { path; reason })
-  | content -> (
+  match Checkpoint.read_file path with
+  | Error _ as e -> e
+  | Ok content -> (
       match List.assoc_opt name t.entries with
       | Some crc when crc <> Crc32.digest content ->
           Error.fail
@@ -291,75 +285,68 @@ let wal_record_body ~seq ~name deltas =
   Array.iter (fun (i, d) -> Printf.bprintf buf " %d %h" i d) deltas;
   Buffer.contents buf
 
+(* The record on a WAL line, or [None] when the line is torn or
+   rotted: ["d <crc> "] then a body whose exact bytes the CRC must
+   match and which must read as [seq name k] plus [k] position/delta
+   pairs with finite deltas. *)
 let parse_wal_line line =
-  match String.index_opt line ' ' with
-  | None -> None
-  | Some sp -> (
-      if String.sub line 0 sp <> "d" then None
-      else
-        match String.index_from_opt line (sp + 1) ' ' with
-        | None -> None
-        | Some sp2 -> (
-            let crc = String.sub line (sp + 1) (sp2 - sp - 1) in
-            let body =
-              String.sub line (sp2 + 1) (String.length line - sp2 - 1)
-            in
-            if Crc32.of_hex crc = None || Crc32.digest body <> crc then None
-            else
-              match
-                List.filter
-                  (fun w -> w <> "")
-                  (String.split_on_char ' ' body)
-              with
-              | seq :: name :: k :: rest -> (
-                  match (int_of_string_opt seq, int_of_string_opt k) with
-                  | Some seq, Some k
-                    when valid_name name && k >= 0 && List.length rest = 2 * k
-                    -> (
-                      let rest = Array.of_list rest in
-                      let ok = ref true in
-                      let deltas =
-                        Array.init k (fun j ->
-                            match
-                              ( int_of_string_opt rest.(2 * j),
-                                float_of_string_opt rest.((2 * j) + 1) )
-                            with
-                            | Some i, Some d when Float.is_finite d -> (i, d)
-                            | _ ->
-                                ok := false;
-                                (0, 0.))
-                      in
-                      match !ok with
-                      | true -> Some { seq; name; deltas }
-                      | false -> None)
-                  | _ -> None)
-              | _ -> None))
+  let len = String.length line in
+  let sp =
+    if len >= 2 && line.[0] = 'd' && line.[1] = ' ' then
+      String.index_from_opt line 2 ' '
+    else None
+  in
+  match sp with
+  | Some sp
+    when Crc32.to_hex (Crc32.sub line ~pos:(sp + 1) ~len:(len - sp - 1))
+         = String.sub line 2 (sp - 2) -> (
+      let cur =
+        Cursor.create line ~pos:(sp + 1) ~error:(fun ~line:_ reason ->
+            Error.Invalid_input reason)
+      in
+      match
+        let seq = Cursor.int_of cur (Cursor.next cur) in
+        let name = Cursor.word cur in
+        let k = Cursor.int cur in
+        (* a pair takes at least four bytes: a bogus [k] sizes nothing *)
+        if not (valid_name name && k >= 0 && k <= len) then
+          Cursor.fail cur "bad record header";
+        let deltas =
+          Array.init k (fun _ ->
+              let i = Cursor.int cur in
+              (i, Cursor.float cur))
+        in
+        Cursor.finish cur;
+        { seq; name; deltas }
+      with
+      | r -> Some r
+      | exception Error.Rs_error _ -> None)
+  | _ -> None
 
 (* Records in file order plus the number of lines dropped at the torn
-   (or rotted) tail.  A missing WAL is an empty one. *)
+   (or rotted) tail: the first bad line ends the log, and it and every
+   non-empty line after it are dropped, never half-trusted.  A missing
+   WAL is an empty one. *)
 let wal_load t =
   let path = wal_path t in
   if not (Sys.file_exists path) then Ok ([], 0)
   else
-    match read_file path with
-    | exception Sys_error reason ->
-        Error.fail (Error.Io_failure { path; reason })
-    | content ->
-        let lines =
-          List.filter (fun l -> l <> "") (String.split_on_char '\n' content)
-        in
-        let rec go acc last_seq = function
-          | [] -> Ok (List.rev acc, 0)
-          | line :: rest -> (
-              match parse_wal_line line with
-              | Some r when r.seq > last_seq -> go (r :: acc) r.seq rest
-              | Some _ | None ->
-                  Log.warn (fun m ->
-                      m "WAL: dropping torn tail (%d line(s)) at %s"
-                        (1 + List.length rest) path);
-                  Ok (List.rev acc, 1 + List.length rest))
-        in
-        go [] min_int lines
+    let rec go acc last_seq = function
+      | [] -> (List.rev acc, 0)
+      | line :: rest -> (
+          match parse_wal_line line with
+          | Some r when r.seq > last_seq -> go (r :: acc) r.seq rest
+          | Some _ | None ->
+              let dropped = 1 + List.length rest in
+              Log.warn (fun m ->
+                  m "WAL: dropping torn tail (%d line(s)) at %s" dropped path);
+              (List.rev acc, dropped))
+    in
+    Result.map
+      (fun s ->
+        go [] min_int
+          (List.filter (fun l -> l <> "") (String.split_on_char '\n' s)))
+      (Checkpoint.read_file path)
 
 let wal_next_seq t =
   match t.wal_next with
@@ -469,11 +456,16 @@ let fsck ?(reuse = fun _ _ -> None) t =
         match name_of_file file with
         | None -> ()
         | Some name -> (
-            match read_file path with
-            | exception Sys_error reason ->
+            match Checkpoint.read_file path with
+            | Error e ->
+                let reason =
+                  match e with
+                  | Error.Io_failure { reason; _ } -> reason
+                  | e -> Error.to_string e
+                in
                 quarantined := (name, "unreadable: " ^ reason) :: !quarantined;
                 dirty := true
-            | content -> (
+            | Ok content -> (
                 let decoded =
                   match reuse name content with
                   | Some synopsis -> Ok synopsis

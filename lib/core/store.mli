@@ -50,6 +50,11 @@ val open_dir : string -> t
     entries — never an error.  Raises [Rs_error (Io_failure _)] only
     when the OS refuses directory creation or the manifest rewrite. *)
 
+val parse_manifest : path:string -> string -> (string * string) list
+(** {!open_dir}'s reader of a MANIFEST body: [(name, crc)] from one
+    [entry <name> <crc>] line per entry.  Raises
+    [Rs_error (Corrupt_checkpoint _)]. *)
+
 val dir : t -> string
 
 val list : t -> string list

@@ -129,35 +129,6 @@ let value t i =
 
 let data t = Array.concat (Array.to_list (Array.map (fun s -> s.values) t.segs))
 
-(* P[b] - P[a-1] over the segment's local positions, with P the plain
-   left fold from 0. — the same cells (and so the same bits) the
-   prefix tables of {!Rs_util.Prefix} hold, computed on demand. *)
-let seg_range_sum values ~a ~b =
-  let p = ref 0. in
-  for u = 0 to a - 2 do
-    p := !p +. values.(u)
-  done;
-  let before = !p in
-  for u = a - 1 to b - 1 do
-    p := !p +. values.(u)
-  done;
-  !p -. before
-
-let range_sum t ~a ~b =
-  if a < 1 || b > t.n || a > b then
-    invalid "Stream.range_sum: bad range [%d..%d] of n=%d" a b t.n;
-  let acc = ref 0. in
-  Array.iter
-    (fun s ->
-      let lo = max a s.s_lo and hi = min b s.s_hi in
-      if lo <= hi then
-        acc :=
-          !acc
-          +. seg_range_sum s.values ~a:(lo - s.s_lo + 1)
-               ~b:(hi - s.s_lo + 1))
-    t.segs;
-  !acc
-
 let plan t =
   Segmented.plan_of_bounds ~n:t.n
     (Array.map (fun s -> (s.s_lo, s.s_hi)) t.segs)
@@ -384,62 +355,55 @@ let create ?(config = default_config) ?store ds =
       save_manifest t);
   t
 
+type manifest_seg = {
+  m_lo : int;
+  m_hi : int;
+  m_grant : int;
+  m_applied : int;
+  m_dirty : float;
+  m_values : float array;
+}
+
+type manifest = { m_n : int; m_config : config; m_segs : manifest_seg array }
+
+(* The header line, then one [seg] line per segment; every float must
+   be finite and the staleness mass non-negative — a NaN mass would
+   never go stale again, a NaN threshold is corruption, not bad input. *)
 let parse_manifest ~path body =
-  let fail reason =
-    Error.raise_error (Error.Corrupt_checkpoint { path; reason })
+  let module C = Rs_util.Checkpoint.Cursor in
+  let cur = C.of_body ~path body in
+  C.expect cur "stream";
+  let m_n = C.int cur in
+  let segments = C.int cur in
+  let method_name = C.word cur in
+  let budget_words = C.int cur in
+  let stale_threshold = C.float cur in
+  let entry_prefix = C.word cur in
+  C.finish cur;
+  let rec segs acc =
+    if C.at_end cur then List.rev acc
+    else begin
+      C.expect cur "seg";
+      let m_lo = C.int cur in
+      let m_hi = C.int cur in
+      let m_grant = C.int cur in
+      let m_applied = C.int cur in
+      let m_dirty = C.float cur in
+      if m_dirty < 0. then C.fail cur "negative staleness mass %h" m_dirty;
+      let m_values = C.floats cur in
+      if Array.length m_values <> m_hi - m_lo + 1 then
+        C.fail cur "stream manifest width mismatch";
+      segs ({ m_lo; m_hi; m_grant; m_applied; m_dirty; m_values } :: acc)
+    end
   in
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' body)
+  let m_segs = Array.of_list (segs []) in
+  if Array.length m_segs <> segments then
+    C.fail cur "stream manifest segment count mismatch";
+  let options = Builder.default_options in
+  let m_config =
+    { method_name; budget_words; segments; stale_threshold; entry_prefix; options }
   in
-  let words l = List.filter (fun w -> w <> "") (String.split_on_char ' ' l) in
-  match lines with
-  | [] -> fail "empty stream manifest"
-  | header :: rest -> (
-      match words header with
-      | [ "stream"; n; segments; method_name; budget; threshold; prefix ] -> (
-          match
-            ( int_of_string_opt n,
-              int_of_string_opt segments,
-              int_of_string_opt budget,
-              float_of_string_opt threshold )
-          with
-          | Some n, Some segments, Some budget, Some threshold ->
-              if List.length rest <> segments then
-                fail "stream manifest segment count mismatch";
-              let segs =
-                List.map
-                  (fun line ->
-                    match words line with
-                    | "seg" :: lo :: hi :: grant :: applied :: dirty :: vals
-                      -> (
-                        match
-                          ( int_of_string_opt lo,
-                            int_of_string_opt hi,
-                            int_of_string_opt grant,
-                            int_of_string_opt applied,
-                            float_of_string_opt dirty )
-                        with
-                        | Some lo, Some hi, Some grant, Some applied, Some dirty
-                          ->
-                            let vals =
-                              List.map
-                                (fun v ->
-                                  match float_of_string_opt v with
-                                  | Some f when Float.is_finite f -> f
-                                  | _ -> fail "bad stream manifest value")
-                                vals
-                            in
-                            if List.length vals <> hi - lo + 1 then
-                              fail "stream manifest width mismatch";
-                            (lo, hi, grant, applied, dirty,
-                             Array.of_list vals)
-                        | _ -> fail "bad stream manifest segment line")
-                    | _ -> fail "bad stream manifest segment line")
-                  rest
-              in
-              (n, method_name, budget, threshold, prefix, segs)
-          | _ -> fail "bad stream manifest header")
-      | _ -> fail "bad stream manifest header")
+  { m_n; m_config; m_segs }
 
 (* Reopen a stream from its store: manifest base state, then WAL
    replay of records above each segment's applied seq — exactly the
@@ -450,7 +414,8 @@ let parse_manifest ~path body =
    [Corrupt_checkpoint] naming the WAL — never an array-bounds crash or
    a poisoned value.  Missing or corrupt segment entries are rebuilt
    from the replayed data (deterministic), never trusted stale. *)
-let resume ?(options = Builder.default_options) store =
+let resume ?(options = Builder.default_options) ?(decoded = fun _ -> None)
+    store =
   let started = Rs_util.Mclock.now () in
   match Store.load_manifest store Store.Stream with
   | Error e -> Error e
@@ -458,31 +423,19 @@ let resume ?(options = Builder.default_options) store =
   | Ok (Some body) ->
       Error.guard (fun () ->
           let path = Store.manifest_path store Store.Stream in
-          let n, method_name, budget, threshold, prefix, seg_specs =
+          let { m_n = n; m_config; m_segs = specs } =
             parse_manifest ~path body
           in
-          let cfg =
-            {
-              method_name;
-              budget_words = budget;
-              segments = List.length seg_specs;
-              stale_threshold = threshold;
-              entry_prefix = prefix;
-              options;
-            }
-          in
+          let cfg = { m_config with options } in
           check_config cfg n;
           (* Restore per-segment base state, contiguity-checked. *)
-          let specs = Array.of_list seg_specs in
           ignore
             (Segmented.plan_of_bounds ~n
-               (Array.map (fun (lo, hi, _, _, _, _) -> (lo, hi)) specs));
-          let values = Array.map (fun (_, _, _, _, _, vals) -> vals) specs in
-          let applied =
-            Array.map (fun (_, _, _, a, _, _) -> ref a) specs
-          in
-          let dirty = Array.map (fun (_, _, _, _, d, _) -> ref d) specs in
-          let name_of i = Printf.sprintf "%s.seg%d" prefix i in
+               (Array.map (fun m -> (m.m_lo, m.m_hi)) specs));
+          let values = Array.map (fun m -> m.m_values) specs in
+          let applied = Array.map (fun m -> ref m.m_applied) specs in
+          let dirty = Array.map (fun m -> ref m.m_dirty) specs in
+          let name_of i = Printf.sprintf "%s.seg%d" cfg.entry_prefix i in
           let acked = ref (Array.fold_left (fun a r -> max a !r) 0 applied) in
           let replayed = ref 0 and replayed_deltas = ref 0 in
           let corrupt_wal fmt =
@@ -514,7 +467,7 @@ let resume ?(options = Builder.default_options) store =
                           m "resume: WAL record for unknown segment %s"
                             r.Store.name)
                   | Some k ->
-                      let lo, hi, _, _, _, _ = specs.(k) in
+                      let lo = specs.(k).m_lo and hi = specs.(k).m_hi in
                       let v = values.(k) in
                       if r.Store.seq > !(applied.(k)) then begin
                         Array.iter
@@ -547,10 +500,15 @@ let resume ?(options = Builder.default_options) store =
           (* Load (or deterministically rebuild) each segment synopsis. *)
           let segs =
             Array.mapi
-              (fun i (lo, hi, grant, _, _, _) ->
+              (fun i { m_lo = lo; m_hi = hi; m_grant = grant; _ } ->
                 let name = name_of i in
+                let loaded =
+                  match decoded name with
+                  | Some syn -> Ok syn
+                  | None -> Store.get store ~name
+                in
                 let synopsis =
-                  match Store.get store ~name with
+                  match loaded with
                   | Ok syn when Synopsis.domain_size syn = hi - lo + 1 -> syn
                   | Ok _ | Error _ ->
                       Log.warn (fun m ->

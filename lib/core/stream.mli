@@ -72,10 +72,17 @@ val create : ?config:config -> ?store:Store.t -> Dataset.t -> t
     store I/O failure. *)
 
 val resume :
-  ?options:Builder.options -> Store.t -> (t option, Rs_util.Error.t) result
+  ?options:Builder.options ->
+  ?decoded:(string -> Synopsis.t option) ->
+  Store.t ->
+  (t option, Rs_util.Error.t) result
 (** Reopen from a store: [Ok None] when no stream manifest exists;
     otherwise restore base data, replay the WAL idempotently, and load
-    (or rebuild, deterministically) every segment synopsis.  Config is
+    (or rebuild, deterministically) every segment synopsis.  [decoded]
+    names segment entries the caller already read and verified from
+    this store (the serving generation's); those are taken as they are
+    instead of read again through [Store.get].  Either way a synopsis
+    whose domain does not match its segment is rebuilt.  Config is
     the manifest's; [options] re-arms the non-serializable build
     options.  [Error (Corrupt_checkpoint _)] on a damaged manifest, or
     naming the WAL when a CRC-valid record puts a delta outside its
@@ -83,6 +90,24 @@ val resume :
     [Store.quarantine_manifest _ Stream] and rebuild from scratch.  Logs
     one [rs.stream] info line: records and deltas replayed, and the
     time taken. *)
+
+(** {2 The STREAM manifest} *)
+
+type manifest_seg = {
+  m_lo : int;
+  m_hi : int;
+  m_grant : int;
+  m_applied : int;  (** highest WAL seq folded into [m_values] *)
+  m_dirty : float;  (** staleness mass, finite and [>= 0.] *)
+  m_values : float array;
+}
+
+type manifest = { m_n : int; m_config : config; m_segs : manifest_seg array }
+
+val parse_manifest : path:string -> string -> manifest
+(** {!resume}'s reader of a STREAM manifest body: the header line, then
+    one [seg] line per segment, every float finite ([m_config.options]
+    is the default).  Raises [Rs_error (Corrupt_checkpoint _)]. *)
 
 val n : t -> int
 val segments : t -> int
@@ -93,12 +118,6 @@ val value : t -> int -> float
 
 val data : t -> float array
 (** Fresh copy of the current live data. *)
-
-val range_sum : t -> a:int -> b:int -> float
-(** Exact current range sum: each overlapping segment adds
-    [P[b] - P[a-1]] of its own plain prefix fold, computed on demand
-    (O(segment width)) — the bits a {!Rs_util.Prefix} table over that
-    segment's values would give. *)
 
 val staleness : t -> float array
 (** Per-segment accumulated [|δ|] mass since its last rebuild. *)

@@ -137,38 +137,34 @@ let render_manifest ~fp ~method_name ~planner ~n ~grants ~status =
   Buffer.contents buf
 
 let parse_manifest ~path body =
+  let module C = Rs_util.Checkpoint.Cursor in
   let bad reason =
     Error.raise_error (Error.Corrupt_checkpoint { path; reason })
   in
-  let int_in line v =
-    match int_of_string_opt v with
-    | Some i -> i
-    | None -> bad (Printf.sprintf "bad integer in build-manifest line %S" line)
-  in
+  let cur = C.of_body ~path body in
   let fp = ref None
   and segs = ref None
   and grants = ref None
   and status = ref [] in
-  List.iter
-    (fun line ->
-      match
-        List.filter (fun w -> w <> "") (String.split_on_char ' ' line)
-      with
-      | [] -> ()
-      | [ "method"; _ ] | [ "planner"; _ ] | [ "n"; _ ] ->
-          (* identity lives in the fingerprint; these are for humans *)
-          ()
-      | [ "segments"; v ] -> segs := Some (int_in line v)
-      | [ "budget-fp"; v ] -> fp := Some v
-      | "grant" :: gs ->
-          grants :=
-            Some (Array.of_list (List.map (fun g -> int_in line g) gs))
-      | [ "seg"; i; "pending" ] -> status := (int_in line i, None) :: !status
-      | [ "seg"; i; "done"; delivered; retries ] ->
-          status :=
-            (int_in line i, Some (delivered, int_in line retries)) :: !status
-      | _ -> bad (Printf.sprintf "bad build-manifest line %S" line))
-    (String.split_on_char '\n' body);
+  while not (C.at_end cur) do
+    (match C.next cur with
+    | "method" | "planner" | "n" ->
+        (* identity lives in the fingerprint; these are for humans *)
+        ignore (C.word cur)
+    | "segments" -> segs := Some (C.int cur)
+    | "budget-fp" -> fp := Some (C.word cur)
+    | "grant" -> grants := Some (C.ints cur)
+    | "seg" -> (
+        let i = C.int cur in
+        match C.word cur with
+        | "pending" -> status := (i, None) :: !status
+        | "done" ->
+            let delivered = C.word cur in
+            status := (i, Some (delivered, C.int cur)) :: !status
+        | w -> C.fail cur "bad segment status %S" w)
+    | k -> C.fail cur "bad build-manifest key %S" k);
+    C.finish cur
+  done;
   let req name = function
     | Some v -> v
     | None -> bad (Printf.sprintf "build manifest is missing its %s line" name)

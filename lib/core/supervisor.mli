@@ -67,6 +67,19 @@ module Backoff : sig
       across segments, and never above [cap]. *)
 end
 
+(** {2 The BUILD manifest} *)
+
+type manifest = {
+  m_fingerprint : string;  (** CRC over the data and the parameters *)
+  m_grants : int array;
+  m_status : (string * int) option array;  (** (rung, retries) when done *)
+}
+
+val parse_manifest : path:string -> string -> manifest
+(** The resume path's reader of a BUILD manifest body.  Raises
+    [Rs_error (Corrupt_checkpoint _)] on a bad line, a missing field or
+    a segment status out of range, repeated or absent. *)
+
 type seg_report = {
   seg : int;
   lo : int;

@@ -39,10 +39,6 @@ val bucket_of : t -> int -> int
 (** [bucket_of t i] is the index of the bucket containing position [i],
     [1 ≤ i ≤ n].  O(1). *)
 
-val positions : t -> int array
-(** A copy of the position index: element [i − 1] is [bucket_of t i],
-    for every [1 ≤ i ≤ n] — O(n) with no per-position check. *)
-
 val left : t -> int -> int
 (** [left t i = B^<_i]: leftmost position of the bucket containing
     [i]. *)

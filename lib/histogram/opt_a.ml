@@ -3,6 +3,7 @@ module Checks = Rs_util.Checks
 module Governor = Rs_util.Governor
 module Faults = Rs_util.Faults
 module Checkpoint = Rs_util.Checkpoint
+module Cursor = Checkpoint.Cursor
 module Crc32 = Rs_util.Crc32
 module Mclock = Rs_util.Mclock
 module Pool = Rs_util.Pool
@@ -184,68 +185,80 @@ type resume_state = {
   r_cells : (int * int * Ktbl.t) list;
 }
 
+(* Identity fields: resuming against the wrong dataset, stage or shape
+   must be refused as corruption, never silently computed. *)
+let field_int cur key =
+  Cursor.expect cur key;
+  let v = Cursor.int cur in
+  Cursor.finish cur;
+  v
+
+let check_int cur key expected actual =
+  if expected <> actual then
+    Cursor.fail cur "%s mismatch: snapshot has %d, caller has %d" key actual
+      expected
+
+let check_string cur key expected =
+  Cursor.expect cur key;
+  let actual = String.concat " " (Cursor.words cur) in
+  if not (String.equal expected actual) then
+    Cursor.fail cur "%s mismatch: snapshot has %S, caller has %S" key actual
+      expected
+
 let load_snapshot ~path ~stage ~fingerprint ~n ~b ~key_cap ~beam =
   match Checkpoint.load ~path ~kind:snapshot_kind with
   | Error err -> Rs_util.Error.raise_error err
   | Ok body ->
-      let cur = Snapshot_io.of_body ~path body in
-      Snapshot_io.check_string cur "engine" "opt-a"
-        (Snapshot_io.expect_string cur "engine");
-      Snapshot_io.check_string cur "stage" stage
-        (Snapshot_io.expect_string cur "stage");
-      Snapshot_io.check_string cur "fingerprint" fingerprint
-        (Snapshot_io.expect_string cur "fingerprint");
-      Snapshot_io.check_int cur "n" n (Snapshot_io.expect_int cur "n");
-      Snapshot_io.check_int cur "buckets" b (Snapshot_io.expect_int cur "buckets");
-      let snap_cap = Snapshot_io.expect_int cur "key_cap" in
-      (match key_cap with
-      | Some c -> Snapshot_io.check_int cur "key_cap" c snap_cap
-      | None -> ());
-      if snap_cap <= 0 then Snapshot_io.corrupt cur "key_cap must be positive";
-      Snapshot_io.check_int cur "beam"
-        (match beam with Some x -> x | None -> 0)
-        (Snapshot_io.expect_int cur "beam");
-      let total = Snapshot_io.expect_int cur "states" in
-      if total < 1 then Snapshot_io.corrupt cur "state count must be >= 1";
-      let next_k, next_i =
-        match Snapshot_io.expect cur "next" with
-        | [ k; i ] -> (Snapshot_io.int_of cur k, Snapshot_io.int_of cur i)
-        | _ -> Snapshot_io.corrupt cur "expected \"next <k> <i>\""
-      in
+      let cur = Cursor.of_body ~path body in
+      check_string cur "engine" "opt-a";
+      check_string cur "stage" stage;
+      check_string cur "fingerprint" fingerprint;
+      check_int cur "n" n (field_int cur "n");
+      check_int cur "buckets" b (field_int cur "buckets");
+      let snap_cap = field_int cur "key_cap" in
+      Option.iter (fun c -> check_int cur "key_cap" c snap_cap) key_cap;
+      if snap_cap <= 0 then Cursor.fail cur "key_cap must be positive";
+      check_int cur "beam" (Option.value beam ~default:0) (field_int cur "beam");
+      let total = field_int cur "states" in
+      if total < 1 then Cursor.fail cur "state count must be >= 1";
+      Cursor.expect cur "next";
+      let next_k = Cursor.int cur in
+      let next_i = Cursor.int cur in
+      Cursor.finish cur;
       if next_k < 1 || next_k > b || next_i < next_k || next_i > n then
-        Snapshot_io.corrupt cur "resume position (%d, %d) out of range" next_k
-          next_i;
+        Cursor.fail cur "resume position (%d, %d) out of range" next_k next_i;
       let cells = ref [] in
-      while not (Snapshot_io.at_end cur) do
-        match Snapshot_io.expect cur "cell" with
-        | [ k; i; cap; cnt ] ->
-            let k = Snapshot_io.int_of cur k
-            and i = Snapshot_io.int_of cur i
-            and cap = Snapshot_io.int_of cur cap
-            and cnt = Snapshot_io.int_of cur cnt in
-            if k < 0 || k > b || i < 0 || i > n then
-              Snapshot_io.corrupt cur "cell (%d, %d) out of range" k i;
-            if cnt < 0 || cnt > cap then
-              Snapshot_io.corrupt cur "cell (%d, %d): bad slot count %d" k i cnt;
-            let slots =
-              Array.init cnt (fun _ ->
-                  match Snapshot_io.expect cur "s" with
-                  | [ slot; key; f; pj; pk ] ->
-                      ( Snapshot_io.int_of cur slot,
-                        Snapshot_io.int_of cur key,
-                        Snapshot_io.float_of cur f,
-                        Snapshot_io.int_of cur pj,
-                        Snapshot_io.int_of cur pk )
-                  | _ -> Snapshot_io.corrupt cur "expected \"s <slot> <key> <f> <pj> <pk>\"")
-            in
-            let tbl =
-              match Ktbl.import { Ktbl.capacity = cap; slots } with
-              | tbl -> tbl
-              | exception Invalid_argument reason ->
-                  Snapshot_io.corrupt cur "cell (%d, %d): %s" k i reason
-            in
-            cells := (k, i, tbl) :: !cells
-        | _ -> Snapshot_io.corrupt cur "expected \"cell <k> <i> <cap> <count>\""
+      while not (Cursor.at_end cur) do
+        Cursor.expect cur "cell";
+        let k = Cursor.int cur in
+        let i = Cursor.int cur in
+        let cap = Cursor.int cur in
+        let cnt = Cursor.int cur in
+        Cursor.finish cur;
+        if k < 0 || k > b || i < 0 || i > n then
+          Cursor.fail cur "cell (%d, %d) out of range" k i;
+        (* a slot line takes more than one byte: a corrupt count is
+           refused here, before it sizes an allocation *)
+        if cnt < 0 || cnt > cap || cnt > String.length body then
+          Cursor.fail cur "cell (%d, %d): bad slot count %d" k i cnt;
+        let slots =
+          Array.init cnt (fun _ ->
+              Cursor.expect cur "s";
+              let slot = Cursor.int cur in
+              let key = Cursor.int cur in
+              let f = Cursor.float cur in
+              let pj = Cursor.int cur in
+              let pk = Cursor.int cur in
+              Cursor.finish cur;
+              (slot, key, f, pj, pk))
+        in
+        let tbl =
+          match Ktbl.import { Ktbl.capacity = cap; slots } with
+          | tbl -> tbl
+          | exception Invalid_argument reason ->
+              Cursor.fail cur "cell (%d, %d): %s" k i reason
+        in
+        cells := (k, i, tbl) :: !cells
       done;
       {
         r_key_cap = snap_cap;

@@ -99,10 +99,16 @@ let h_request_alloc =
    through it.  All of this is coordinator-only state, exactly like the
    cache. *)
 
-let resume_stream dir =
+(* The stream's segment entries are part of [gen], which has just read,
+   verified and decoded them: resume takes them from there, not from
+   disk a second time. *)
+let resume_stream gen dir =
+  let decoded name =
+    Option.map (fun e -> e.Generation.syn) (Generation.find gen name)
+  in
   match
     Error.guard (fun () ->
-        Error.get (Rs_core.Stream.resume (Rs_core.Store.open_dir dir)))
+        Error.get (Rs_core.Stream.resume ~decoded (Rs_core.Store.open_dir dir)))
   with
   | Ok stream -> stream
   | Error e ->
@@ -171,7 +177,7 @@ let create config =
             (if Generation.size gen = 1 then "y" else "ies")
             config.store_dir
             (List.length gen.Generation.quarantined));
-      let stream = resume_stream config.store_dir in
+      let stream = resume_stream gen config.store_dir in
       mirror_staleness config gen stream;
       Ok
         {
@@ -468,7 +474,7 @@ let reload t =
         (* A refresh/compaction may have landed between generations:
            re-resume the stream against the new store state and carry
            its staleness into the fresh entries. *)
-        t.stream <- resume_stream t.config.store_dir;
+        t.stream <- resume_stream gen t.config.store_dir;
         mirror_staleness t.config t.gen t.stream;
         Metrics.set g_generation (float_of_int gen.Generation.gen_id);
         Log.info (fun m ->

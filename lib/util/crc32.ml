@@ -1,29 +1,32 @@
-(* CRC-32/ISO-HDLC (the zlib/PNG polynomial 0xEDB88320), table-driven. *)
+(* CRC-32/ISO-HDLC (the zlib/PNG polynomial 0xEDB88320), table-driven.
+   The running value lives in a native int (the low 32 bits), so the
+   byte loop allocates nothing. *)
 
 let table =
   lazy
     (Array.init 256 (fun i ->
-         let c = ref (Int32.of_int i) in
+         let c = ref i in
          for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
+           if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
+           else c := !c lsr 1
          done;
          !c))
 
-let update crc s =
-  let table = Lazy.force table in
-  let crc = ref (Int32.lognot crc) in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xffl)
-      in
-      crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
-    s;
-  Int32.lognot !crc
+let mask = 0xFFFF_FFFF
 
-let string s = update 0l s
+let sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Crc32.sub";
+  let table = Lazy.force table in
+  let c = ref mask in
+  for i = pos to pos + len - 1 do
+    c :=
+      Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+      lxor (!c lsr 8)
+  done;
+  Int32.of_int (lnot !c land mask)
+
+let string s = sub s ~pos:0 ~len:(String.length s)
 let to_hex crc = Printf.sprintf "%08lx" crc
 let digest s = to_hex (string s)
 

@@ -5,8 +5,10 @@
 val string : string -> int32
 (** CRC-32 of the whole string. *)
 
-val update : int32 -> string -> int32
-(** Fold more bytes into a running checksum ([string s = update 0l s]). *)
+val sub : string -> pos:int -> len:int -> int32
+(** CRC-32 of [String.sub s pos len], without the copy — how a frame
+    reader checks the bytes below its CRC line in place.  Raises
+    [Invalid_argument] when the range is not inside [s]. *)
 
 val digest : string -> string
 (** [to_hex (string s)] — the 8-char lowercase hex form the codec

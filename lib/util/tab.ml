@@ -110,44 +110,6 @@ let i2_unsafe_get t r c = Bigarray.Array1.unsafe_get t.ibuf ((r * t.i_cols) + c)
 let i2_unsafe_set t r c v =
   Bigarray.Array1.unsafe_set t.ibuf ((r * t.i_cols) + c) v
 
-let f1_dump (t : f1) =
-  String.concat " "
-    (List.init (Bigarray.Array1.dim t) (fun i ->
-         Printf.sprintf "%h" (Bigarray.Array1.unsafe_get t i)))
-
-let f1_load s =
-  if String.trim s = "" then f1_create 0
-  else
-    let parts = String.split_on_char ' ' (String.trim s) in
-    let floats =
-      List.map
-        (fun p ->
-          match float_of_string_opt p with
-          | Some v -> v
-          | None -> invalid_arg (Printf.sprintf "Tab.f1_load: bad float %S" p))
-        parts
-    in
-    f1_of_array (Array.of_list floats)
-
-let i1_dump (t : i1) =
-  String.concat " "
-    (List.init (Bigarray.Array1.dim t) (fun i ->
-         string_of_int (Bigarray.Array1.unsafe_get t i)))
-
-let i1_load s =
-  if String.trim s = "" then i1_create 0
-  else
-    let parts = String.split_on_char ' ' (String.trim s) in
-    let ints =
-      List.map
-        (fun p ->
-          match int_of_string_opt p with
-          | Some v -> v
-          | None -> invalid_arg (Printf.sprintf "Tab.i1_load: bad int %S" p))
-        parts
-    in
-    i1_of_array (Array.of_list ints)
-
 module Debug = struct
   let f1_unsafe_get = f1_get
   let f1_unsafe_set = f1_set

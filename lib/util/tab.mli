@@ -16,11 +16,7 @@
     bounds-checked debug twin (see {!Debug}) — every kernel using
     [unsafe_*] must have a test that runs the same loop through
     {!Debug} accessors on representative shapes, so index bugs surface
-    as [Invalid_argument] in the suite rather than as silent reads.
-
-    Export/import round-trips through [%h] hex floats (and decimal
-    ints), bit-exact — the same convention as the checkpoint
-    snapshots. *)
+    as [Invalid_argument] in the suite rather than as silent reads. *)
 
 type f1 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type i1 = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -70,7 +66,7 @@ val i1_to_array : i1 -> int array
     A 2-D table is a 1-D buffer plus a pinned [(rows, cols)] shape;
     cell [(r, c)] lives at [r * cols + c].  Kernels that sweep a row
     hoist [r * cols] once and walk the flat buffer — the layout is part
-    of the contract (snapshot writers iterate rows in order). *)
+    of the contract. *)
 
 type f2 = private { fbuf : f1; f_rows : int; f_cols : int }
 type i2 = private { ibuf : i1; i_rows : int; i_cols : int }
@@ -98,19 +94,6 @@ val f2_unsafe_get : f2 -> int -> int -> float
 val f2_unsafe_set : f2 -> int -> int -> float -> unit
 val i2_unsafe_get : i2 -> int -> int -> int
 val i2_unsafe_set : i2 -> int -> int -> int -> unit
-
-(** {2 Bit-exact text round-trip} *)
-
-val f1_dump : f1 -> string
-(** Space-separated [%h] floats (["" ] for an empty table) — bit-exact
-    under {!f1_load}, same rendering as the snapshot writers. *)
-
-val f1_load : string -> f1
-(** Inverse of {!f1_dump}.  Raises [Invalid_argument] on unparseable
-    input. *)
-
-val i1_dump : i1 -> string
-val i1_load : string -> i1
 
 (** {2 Debug twins}
 

@@ -34,7 +34,7 @@ let eval_one syn =
       fun ~a ~b -> right.(b) -. left.(a - 1)
   | S.Histogram h ->
       let bk = H.bucketing h in
-      let index = Bucket.positions bk in
+      let index = Array.init (Bucket.n bk) (fun i -> Bucket.bucket_of bk (i + 1)) in
       let avg = H.avg_values h and cum = H.cum_vector h in
       let ends ka kb ~a ~b =
         match H.repr h with

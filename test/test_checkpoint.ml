@@ -458,6 +458,74 @@ let test_snapshot_fuzzer () =
       if !detected < 300 then
         Alcotest.failf "only %d/350 mutants detected as corrupt" !detected)
 
+(* A CRC-valid snapshot whose slot holds a NaN or infinite partial cost,
+   or whose cell claims more slots than it holds, is corrupt: resume
+   refuses it instead of seeding the DP with it. *)
+let test_snapshot_refuses_non_finite () =
+  let p = Prefix.create opt_a_data in
+  with_tmp ".ckpt" (fun path ->
+      let governor =
+        Governor.create ~deadline_mode:Governor.Snapshot ~poll_budget:9 ()
+      in
+      (match
+         Opt_a.build_exact ~key_cap:opt_a_key_cap ~governor
+           ~checkpoint_path:path p ~buckets:opt_a_buckets
+       with
+      | _ -> Alcotest.fail "should interrupt"
+      | exception Governor.Interrupted _ -> ());
+      let kind = "opt-a-row-v1" in
+      let body =
+        match Checkpoint.load ~path ~kind with
+        | Ok body -> body
+        | Error e -> Alcotest.fail (Error.to_string e)
+      in
+      List.iter
+        (fun bad ->
+          let hit = ref false in
+          let poisoned =
+            String.concat "\n"
+              (List.map
+                 (fun line ->
+                   match String.split_on_char ' ' line with
+                   | [ "s"; slot; key; _; pj; pk ] when not !hit ->
+                       hit := true;
+                       String.concat " " [ "s"; slot; key; bad; pj; pk ]
+                   | _ -> line)
+                 (String.split_on_char '\n' body))
+          in
+          Alcotest.(check bool) "a slot line to poison" true !hit;
+          Checkpoint.save ~path ~kind poisoned;
+          match
+            Opt_a.build_exact ~key_cap:opt_a_key_cap ~resume_from:path p
+              ~buckets:opt_a_buckets
+          with
+          | _ -> Alcotest.failf "slot cost %s accepted" bad
+          | exception Error.Rs_error (Error.Corrupt_checkpoint _) -> ())
+        [ "nan"; "inf"; "-inf"; "infinity" ];
+      (* a cell claiming 2^50 slots over the one line it has is refused
+         as corruption, not by an allocation of that size *)
+      let huge = 1 lsl 50 in
+      let hit = ref false in
+      let inflated =
+        String.concat "\n"
+          (List.map
+             (fun line ->
+               match String.split_on_char ' ' line with
+               | [ "cell"; k; i; _; _ ] when not !hit ->
+                   hit := true;
+                   Printf.sprintf "cell %s %s %d %d" k i huge (huge - 1)
+               | _ -> line)
+             (String.split_on_char '\n' body))
+      in
+      Alcotest.(check bool) "a cell line to inflate" true !hit;
+      Checkpoint.save ~path ~kind inflated;
+      match
+        Opt_a.build_exact ~key_cap:opt_a_key_cap ~resume_from:path p
+          ~buckets:opt_a_buckets
+      with
+      | _ -> Alcotest.fail "inflated slot count accepted"
+      | exception Error.Rs_error (Error.Corrupt_checkpoint _) -> ())
+
 (* --- codec atomic save --- *)
 
 let a_synopsis () =
@@ -840,7 +908,12 @@ let () =
           Alcotest.test_case "identity checks" `Quick
             test_opt_a_resume_rejects_wrong_data;
         ] );
-      ("fuzz", [ Alcotest.test_case "350 snapshot mutants" `Quick test_snapshot_fuzzer ]);
+      ( "fuzz",
+        [
+          Alcotest.test_case "350 snapshot mutants" `Quick test_snapshot_fuzzer;
+          Alcotest.test_case "non-finite slot cost" `Quick
+            test_snapshot_refuses_non_finite;
+        ] );
       ( "codec",
         [
           Alcotest.test_case "atomic save" `Quick test_codec_save_is_atomic;

@@ -178,6 +178,7 @@ let test_builder_budget_monotone_quality () =
 (* --- codec --- *)
 
 module Codec = Rs_core.Codec
+module Error = Rs_util.Error
 
 let test_codec_roundtrip_all_methods () =
   let ds = Lazy.force small_ds in
@@ -185,7 +186,7 @@ let test_codec_roundtrip_all_methods () =
   List.iter
     (fun m ->
       let s = Builder.build ds ~method_name:m ~budget_words:10 in
-      let s' = Codec.of_string (Codec.to_string s) in
+      let s' = Error.get (Codec.decode_result (Codec.to_string s)) in
       Alcotest.(check string) (m ^ " name") (Synopsis.name s) (Synopsis.name s');
       Alcotest.(check int)
         (m ^ " storage")
@@ -206,7 +207,7 @@ let test_codec_file_roundtrip () =
   let s = Builder.build ds ~method_name:"sap1" ~budget_words:15 in
   let path = tmp_file ".syn" in
   Codec.save s path;
-  let s' = Codec.load path in
+  let s' = Error.get (Codec.load_result path) in
   Sys.remove path;
   Helpers.check_close "estimate preserved"
     (Synopsis.estimate s ~a:3 ~b:17)
@@ -214,10 +215,9 @@ let test_codec_file_roundtrip () =
 
 let test_codec_rejects_garbage () =
   let reject what s =
-    try
-      ignore (Codec.of_string s);
-      Alcotest.fail ("expected Invalid_argument for " ^ what)
-    with Invalid_argument _ -> ()
+    match Codec.decode_result s with
+    | Error (Error.Corrupt_synopsis _) -> ()
+    | _ -> Alcotest.fail ("expected Corrupt_synopsis for " ^ what)
   in
   reject "empty" "";
   reject "wrong magic" "not-a-synopsis 1\n";
@@ -239,7 +239,7 @@ let test_codec_sap0_explicit_roundtrip () =
   in
   let h = Rs_histogram.Wsap0.build p weights ~buckets:4 in
   let s = Synopsis.Histogram h in
-  let s' = Codec.of_string (Codec.to_string s) in
+  let s' = Error.get (Codec.decode_result (Codec.to_string s)) in
   Alcotest.(check int) "storage" (Synopsis.storage_words s) (Synopsis.storage_words s');
   for a = 1 to n do
     for b = a to n do
@@ -255,7 +255,7 @@ let test_codec_rounded_flag_survives () =
     Rs_histogram.Summaries.avg_histogram ~rounded:true ~name:"r" p
       (Rs_histogram.Bucket.equi_width ~n:(Dataset.n ds) ~buckets:3)
   in
-  let s' = Codec.of_string (Codec.to_string (Synopsis.Histogram h)) in
+  let s' = Error.get (Codec.decode_result (Codec.to_string (Synopsis.Histogram h))) in
   match s' with
   | Synopsis.Histogram h' ->
       Alcotest.(check bool) "rounded" true (Rs_histogram.Histogram.rounded h')

@@ -147,7 +147,7 @@ let test_codec_fuzz () =
     let m = if m = "opt-a" || m = "opt-a-reopt" then "a0" (* keep the fuzz fast *) else m in
     let budget = 2 + Rng.int rng 30 in
     let s = Rs_core.Builder.build ds ~method_name:m ~budget_words:budget in
-    let s' = Rs_core.Codec.of_string (Rs_core.Codec.to_string s) in
+    let s' = Rs_util.Error.get (Rs_core.Codec.decode_result (Rs_core.Codec.to_string s)) in
     let a = 1 + Rng.int rng n in
     let b = a + Rng.int rng (n - a + 1) in
     let e = Rs_core.Synopsis.estimate s ~a ~b in

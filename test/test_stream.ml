@@ -33,6 +33,29 @@ let check_bits name a b =
 let close ?(tol = 1e-9) a b =
   abs_float (a -. b) <= tol *. Float.max 1. (abs_float a +. abs_float b)
 
+(* [s[a,b]] summed from [Stream.data]: each overlapping segment adds
+   [P[b'] - P[a'-1]] of its own plain left fold from 0. — the cells a
+   per-segment prefix table holds, so the result is bit-comparable with
+   [Prefix.Inc.range_sum] over each segment. *)
+let data_range_sum t ~a ~b =
+  let data = Stream.data t in
+  Array.fold_left
+    (fun acc (lo, hi) ->
+      let lo' = max a lo and hi' = min b hi in
+      if lo' > hi' then acc
+      else begin
+        let p = ref 0. in
+        for u = lo to lo' - 1 do
+          p := !p +. data.(u - 1)
+        done;
+        let before = !p in
+        for u = lo' to hi' do
+          p := !p +. data.(u - 1)
+        done;
+        acc +. (!p -. before)
+      end)
+    0. (Stream.plan t).Seg.bounds
+
 let check_close ?tol name a b =
   if not (close ?tol a b) then Alcotest.failf "%s: %.17g vs %.17g" name a b
 
@@ -410,7 +433,7 @@ let test_stream_lifecycle () =
     check_close ~tol:1e-12
       (Printf.sprintf "s[%d,64]" a)
       (Prefix.range_sum p ~a ~b:64)
-      (Stream.range_sum t ~a ~b:64)
+      (data_range_sum t ~a ~b:64)
   done;
   (* a fresh stream answers exactly like the batch build it came from *)
   Alcotest.(check string)
@@ -699,6 +722,41 @@ let test_stream_manifest_fuzz () =
   ignore (Stream.create ~config:stream_config ~store ds);
   let path = Store.manifest_path store Store.Stream in
   let pristine = read_file path in
+  let body =
+    match Store.load_manifest store Store.Stream with
+    | Ok (Some body) -> body
+    | _ -> Alcotest.fail "no stream manifest"
+  in
+  (* poisoned values under a valid CRC are corruption too: a NaN mass
+     would never go stale again, and a NaN threshold is not bad input *)
+  let poison ~key ~field bad =
+    String.concat "\n"
+      (List.mapi
+         (fun i line ->
+           match String.split_on_char ' ' line with
+           | k :: _ as ws when k = key && (key = "stream" || i = 2) ->
+               String.concat " " (List.mapi (fun j w -> if j = field then bad else w) ws)
+           | _ -> line)
+         (String.split_on_char '\n' body))
+  in
+  List.iter
+    (fun (what, poisoned) ->
+      Store.save_manifest store Store.Stream poisoned;
+      match Stream.resume (Store.open_dir dir) with
+      | Error (Error.Corrupt_checkpoint _) -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error e -> Alcotest.failf "%s: wrong error: %s" what (Error.to_string e))
+    [
+      ("dirty nan", poison ~key:"seg" ~field:5 "nan");
+      ("dirty inf", poison ~key:"seg" ~field:5 "inf");
+      ("dirty -5", poison ~key:"seg" ~field:5 "-5");
+      ("stale_threshold nan", poison ~key:"stream" ~field:5 "nan");
+    ];
+  (* the unpoisoned body still resumes *)
+  Store.save_manifest store Store.Stream body;
+  (match Stream.resume (Store.open_dir dir) with
+  | Ok (Some _) -> ()
+  | _ -> Alcotest.fail "pristine manifest refused");
   (* flip one byte inside the framed body: the CRC must catch it *)
   let corrupt = Bytes.of_string pristine in
   let mid = String.length pristine / 2 in
@@ -928,15 +986,23 @@ let test_serve_ingest_survives_restart () =
     estimates_before;
   (* refresh out of band (the rebuild path), then hot reload: the new
      generation serves the rebuilt segments unflagged *)
-  (match ok_or_fail (Stream.resume (Store.open_dir dir)) with
-  | Some t ->
-      let r = Stream.refresh t in
-      Alcotest.(check bool) "refresh rebuilt" true (r.Stream.rebuilt <> [])
-  | None -> Alcotest.fail "stream lost");
-  (match P.decode_response (Server.reload server) with
-  | Ok (P.Reloaded { generation; _ }) ->
-      Alcotest.(check int) "fresh generation" 2 generation
-  | _ -> Alcotest.fail "reload failed");
+  (Rs_util.Metrics.with_enabled @@ fun () ->
+   Rs_util.Metrics.reset ();
+   (match ok_or_fail (Stream.resume (Store.open_dir dir)) with
+   | Some t ->
+       let r = Stream.refresh t in
+       Alcotest.(check bool) "refresh rebuilt" true (r.Stream.rebuilt <> [])
+   | None -> Alcotest.fail "stream lost");
+   (match P.decode_response (Server.reload server) with
+   | Ok (P.Reloaded { generation; _ }) ->
+       Alcotest.(check int) "fresh generation" 2 generation
+   | _ -> Alcotest.fail "reload failed");
+   (* the out-of-band resume reads its 4 segment entries; the reload's
+      resume takes them from the generation it has just decoded *)
+   Alcotest.(check int) "store.gets" 4
+     (Option.value ~default:0
+        (List.assoc_opt "store.gets"
+           (Rs_util.Metrics.report ()).Rs_util.Metrics.r_counters)));
   let a = expect_answers (Server.handle_line server (query_line ~synopsis:"stream.seg0" [ (1, 16) ])) in
   Alcotest.(check bool) "rebuilt entry unflagged" false a.a_stale
 
@@ -1035,7 +1101,7 @@ let check_model name t ~model ~dirty ~incs rng =
   List.iter
     (fun (a, b) ->
       check_bits (Printf.sprintf "%s: range_sum [%d,%d]" name a b) (oracle ~a ~b)
-        (Stream.range_sum t ~a ~b))
+        (data_range_sum t ~a ~b))
     ranges
 
 let check_same_stream name live resumed =

@@ -1,8 +1,8 @@
 (* Flat unboxed tables ({!Rs_util.Tab}): checked/unsafe accessor
-   semantics, the row-major 2-D layout contract, bit-exact dump/load,
-   and bounds-checked Debug-twin runs of the kernel index arithmetic
-   (the DP level sweep's hoisted row offsets and Prefix2d's four-corner
-   reads), so an off-by-one in those address computations surfaces as
+   semantics, the row-major 2-D layout contract, and bounds-checked
+   Debug-twin runs of the kernel index arithmetic (the DP level sweep's
+   hoisted row offsets and Prefix2d's four-corner reads), so an
+   off-by-one in those address computations surfaces as
    [Invalid_argument] here rather than as a silent out-of-range read in
    an [unsafe_*] kernel. *)
 
@@ -61,36 +61,9 @@ let test_blit () =
   let short = Tab.f1_create 2 in
   check_raises_invalid "length mismatch" (fun () -> Tab.f1_blit ~src ~dst:short)
 
-let test_dump_load_bit_exact () =
-  (* The same special values the snapshot writers must round-trip:
-     negative zero, infinities, denormals and an irrational decimal are
-     all bit-exact in %h.  (NaN payloads are not — %h renders plain
-     "nan" — and no kernel table ever holds one.) *)
-  let vals =
-    [| 0.; -0.; 1.; -1.5; infinity; neg_infinity; 4.9e-324;
-       1.7976931348623157e308; 0.1 |]
-  in
-  let t = Tab.f1_of_array vals in
-  let t' = Tab.f1_load (Tab.f1_dump t) in
-  Alcotest.(check int) "len" (Tab.f1_len t) (Tab.f1_len t');
-  for i = 0 to Tab.f1_len t - 1 do
-    Alcotest.(check bool) "bits" true
-      (Int64.equal
-         (Int64.bits_of_float (Tab.f1_get t i))
-         (Int64.bits_of_float (Tab.f1_get t' i)))
-  done;
-  Alcotest.(check string) "empty dump" "" (Tab.f1_dump (Tab.f1_create 0));
-  Alcotest.(check int) "empty load" 0 (Tab.f1_len (Tab.f1_load ""));
-  let it = Tab.i1_of_array [| min_int; -7; 0; 7; max_int |] in
-  Alcotest.(check (array int)) "int dump/load"
-    (Tab.i1_to_array it)
-    (Tab.i1_to_array (Tab.i1_load (Tab.i1_dump it)));
-  check_raises_invalid "garbage load" (fun () -> Tab.f1_load "not-a-float")
-
 let test_f2_layout () =
   (* The row-major layout is contractual: cell (r, c) lives at
-     r * cols + c of the flat buffer — snapshot writers and the kernel
-     sweeps both rely on it. *)
+     r * cols + c of the flat buffer — the kernel sweeps rely on it. *)
   let rows = 3 and cols = 4 in
   let t = Tab.f2_create ~rows ~cols in
   Alcotest.(check int) "rows" rows (Tab.f2_rows t);
@@ -257,8 +230,6 @@ let () =
           Alcotest.test_case "array roundtrip" `Quick test_array_roundtrip;
           Alcotest.test_case "blit" `Quick test_blit;
         ] );
-      ( "dump-load",
-        [ Alcotest.test_case "bit-exact" `Quick test_dump_load_bit_exact ] );
       ( "layout",
         [
           Alcotest.test_case "f2 row-major" `Quick test_f2_layout;

@@ -584,7 +584,7 @@ let test_reconstruction_twin_decoded_entries () =
   List.iter
     (fun (what, syn) ->
       let bytes = Rs_core.Codec.to_string (Rs_core.Synopsis.Wavelet syn) in
-      let decoded = Rs_core.Codec.of_string bytes in
+      let decoded = Rs_util.Error.get (Rs_core.Codec.decode_result bytes) in
       let n = Synopsis.n syn in
       let right, left = Synopsis.sides syn in
       let f, g =
