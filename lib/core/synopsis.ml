@@ -39,40 +39,27 @@ let quantile t ~q =
 (* Full-SSE evaluation prefers the O(n) closed forms whenever the
    synopsis lowers to one; the O(n²) sweep remains only for rounded
    histograms (Opaque).  The test suite checks the fast paths against
-   [Error.sse_all_ranges] over {!estimator}.  One lowering pass serves
-   both the SSE and the prefix vector ([prefix_and_sse]). *)
-type lowered =
-  | Lowered of H.lowering  (* a shared-prefix wavelet lowers to [Prefix_form] *)
-  | Two_sided of { right : float array; left : float array }
-
-let lower = function
-  | Histogram h -> Lowered (H.lowering h)
+   [Error.sse_all_ranges] over {!estimator}. *)
+let sse ds t =
+  let p = Dataset.prefix ds in
+  match t with
+  | Histogram h -> (
+      match H.lowering h with
+      | H.Prefix_form d -> Error.sse_prefix_form p d
+      | H.Piecewise_form { right; left; windows } ->
+          Error.sse_piecewise_form p ~right ~left ~buckets:windows
+      | H.Opaque -> Error.sse_all_ranges p (estimator t))
   | Wavelet w -> (
       match W.prefix_hat_left w with
-      | None -> Lowered (H.Prefix_form (W.prefix_hat w))
-      | Some left -> Two_sided { right = W.prefix_hat w; left })
+      | None -> Error.sse_prefix_form p (W.prefix_hat w)
+      | Some left -> Error.sse_two_sided_form p ~right:(W.prefix_hat w) ~left)
 
-let sse_lowered ds t lowered =
-  let p = Dataset.prefix ds in
-  match lowered with
-  | Lowered (H.Prefix_form d) -> Error.sse_prefix_form p d
-  | Lowered (H.Piecewise_form { right; left; windows }) ->
-      Error.sse_piecewise_form p ~right ~left ~buckets:windows
-  | Lowered H.Opaque -> Error.sse_all_ranges p (estimator t)
-  | Two_sided { right; left } -> Error.sse_two_sided_form p ~right ~left
-
-let sse ds t = sse_lowered ds t (lower t)
-
-let prefix_and_sse ?dataset t =
-  let lowered = lower t in
-  let prefix =
-    match lowered with
-    | Lowered (H.Prefix_form d) -> Some d
-    | Lowered (H.Piecewise_form _ | H.Opaque) | Two_sided _ -> None
-  in
-  (prefix, Option.map (fun ds -> sse_lowered ds t lowered) dataset)
-
-let prefix_vector t = fst (prefix_and_sse t)
+(* The synopses whose SSE above takes [sse_prefix_form], told apart
+   without building the vector. *)
+let prefix_form = function
+  | Histogram h -> (
+      (not (H.rounded h)) && match H.repr h with H.Avg _ -> true | _ -> false)
+  | Wavelet w -> Option.is_none (snd (W.sides w))
 
 (* Compile the synopsis into a Batch plan.  The plan's tables are the
    synopsis' own answering state (bit-exact copies), and the Batch

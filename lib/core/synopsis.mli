@@ -17,7 +17,8 @@ val storage_words : t -> int
 (** Machine words the summary occupies under the paper's accounting. *)
 
 val estimate : t -> a:int -> b:int -> float
-(** Approximate range sum [s[a,b]], [1 ≤ a ≤ b ≤ n].  O(1). *)
+(** Approximate range sum [s[a,b]], [1 ≤ a ≤ b ≤ n].  O(1) for
+    wavelets, O(log B) for histograms (the bucket lookups). *)
 
 val estimator : t -> Rs_query.Error.estimator
 (** The same as a bare function, for the error module. *)
@@ -46,15 +47,11 @@ val sse : Dataset.t -> t -> float
     against {!Rs_query.Error.sse_all_ranges} over {!estimator} for
     every representation. *)
 
-val prefix_vector : t -> float array option
-(** [Some Ĉ] when every answer is [Ĉ[b] − Ĉ[a−1]]: [Avg]-representation
-    non-rounded histograms and shared-prefix wavelet synopses. *)
-
-val prefix_and_sse :
-  ?dataset:Dataset.t -> t -> float array option * float option
-(** [(prefix_vector t, Option.map (fun ds -> sse ds t) dataset)] from
-    one lowering pass — what a serving generation needs per entry.  The
-    dataset must have the synopsis' domain size. *)
+val prefix_form : t -> bool
+(** Whether every answer is [Ĉ[b] − Ĉ[a−1]] for one approximate prefix
+    vector [Ĉ]: non-rounded [Avg] histograms and shared-prefix wavelets
+    (the serving layer gives exactly these a [Bound] rung).  Decided
+    from the representation in O(B); builds no vector. *)
 
 val batch_plan : t -> Rs_query.Batch.t
 (** Compile the synopsis into a vectorized batch-evaluation plan.

@@ -2,8 +2,9 @@ module Checks = Rs_util.Checks
 
 type t = {
   n : int;
-  rights : int array; (* strictly increasing, last = n *)
-  index : int array; (* index.(i-1) = bucket of position i *)
+  offsets : int array;
+      (* offsets.(0) = 0, offsets.(k+1) = right endpoint of bucket k:
+         bucket k spans offsets.(k)+1 .. offsets.(k+1), the last ends at n *)
 }
 
 let of_rights ~n rights =
@@ -18,13 +19,7 @@ let of_rights ~n rights =
         Checks.check (rights.(k - 1) < r)
           "Bucket.of_rights: right endpoints must be strictly increasing")
     rights;
-  let index = Array.make n 0 in
-  let k = ref 0 in
-  for i = 1 to n do
-    if i > rights.(!k) then incr k;
-    index.(i - 1) <- !k
-  done;
-  { n; rights = Array.copy rights; index }
+  { n; offsets = Array.append [| 0 |] rights }
 
 let single ~n = of_rights ~n [| n |]
 let singletons ~n = of_rights ~n (Array.init n (fun i -> i + 1))
@@ -38,12 +33,11 @@ let equi_width ~n ~buckets =
   of_rights ~n rights
 
 let n t = t.n
-let count t = Array.length t.rights
+let count t = Array.length t.offsets - 1
 
 let bounds t k =
   let k = Checks.in_range ~name:"Bucket.bounds" ~lo:0 ~hi:(count t - 1) k in
-  let l = if k = 0 then 1 else t.rights.(k - 1) + 1 in
-  (l, t.rights.(k))
+  (t.offsets.(k) + 1, t.offsets.(k + 1))
 
 let width t k =
   let l, r = bounds t k in
@@ -51,11 +45,11 @@ let width t k =
 
 let bucket_of t i =
   let i = Checks.in_range ~name:"Bucket.bucket_of" ~lo:1 ~hi:t.n i in
-  t.index.(i - 1)
+  Rs_query.Segments.locate t.offsets i
 
-let left t i = fst (bounds t (bucket_of t i))
-let right t i = snd (bounds t (bucket_of t i))
-let rights t = Array.copy t.rights
+let left t i = t.offsets.(bucket_of t i) + 1
+let right t i = t.offsets.(bucket_of t i + 1)
+let rights t = Array.sub t.offsets 1 (count t)
 
 let iter f t =
   for k = 0 to count t - 1 do
@@ -68,7 +62,7 @@ let fold f init t =
   iter (fun k ~l ~r -> acc := f !acc k ~l ~r) t;
   !acc
 
-let equal a b = a.n = b.n && a.rights = b.rights
+let equal a b = a.n = b.n && a.offsets = b.offsets
 
 let pp fmt t =
   Format.fprintf fmt "@[<h>[";

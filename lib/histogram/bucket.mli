@@ -2,9 +2,10 @@
     contiguous, non-empty buckets.
 
     A bucketing is stored as the increasing sequence of bucket right
-    endpoints (the last one is always [n]); a position→bucket index is
-    precomputed so [bucket_of] is O(1), which the histogram answering
-    procedures rely on. *)
+    endpoints (the last one is always [n]): O(B) words, never a copy of
+    the domain.  [bucket_of], [left] and [right] binary-search that
+    sequence in O(log B); a plan that answers many ranges
+    ([Rs_query.Batch.bucketed]) builds its own O(1) position index. *)
 
 type t
 
@@ -37,7 +38,7 @@ val width : t -> int -> int
 
 val bucket_of : t -> int -> int
 (** [bucket_of t i] is the index of the bucket containing position [i],
-    [1 ≤ i ≤ n].  O(1). *)
+    [1 ≤ i ≤ n].  O(log B). *)
 
 val left : t -> int -> int
 (** [left t i = B^<_i]: leftmost position of the bucket containing

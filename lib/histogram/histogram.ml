@@ -183,9 +183,6 @@ let lowering t =
         in
         Piecewise_form { right; left; windows }
 
-let prefix_vector t =
-  match lowering t with Prefix_form d -> Some d | _ -> None
-
 let avg_values t = Array.copy t.avg
 let cum_vector t = Array.copy t.cum
 

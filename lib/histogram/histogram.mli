@@ -16,8 +16,8 @@
     - {b Sap1}: stored suffix/prefix linear fits (slope and intercept as
       functions of the global position).  Storage: 5 words per bucket.
 
-    [estimate] is O(1) per query after O(B) precomputation held inside
-    [t]. *)
+    [estimate] is O(log B) per query (the bucket lookups) after O(B)
+    precomputation held inside [t]; [t] holds O(B) words. *)
 
 type repr =
   | Avg of float array  (** value per bucket *)
@@ -56,7 +56,8 @@ val storage_words : t -> int
     10). *)
 
 val estimate : t -> a:int -> b:int -> float
-(** Approximate [s[a,b]], [1 ≤ a ≤ b ≤ n].  O(1). *)
+(** Approximate [s[a,b]], [1 ≤ a ≤ b ≤ n].  O(log B): two
+    {!Bucket.bucket_of} searches, then O(1) arithmetic. *)
 
 (** {2 Evaluation lowering}
 
@@ -90,9 +91,6 @@ type lowering =
           nonlinear); callers fall back to the sweep. *)
 
 val lowering : t -> lowering
-
-val prefix_vector : t -> float array option
-(** [Some Ĉ] iff {!lowering} is [Prefix_form Ĉ]. *)
 
 val avg_values : t -> float array
 (** The per-bucket values used for intra-bucket answering: the stored

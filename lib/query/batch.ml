@@ -208,13 +208,3 @@ let eval t ~ranges ~lo ~hi ~out =
             eval_affine ~n ~rounded ~index ~avg ~cum ~ss:suff_slope
               ~sc:suff_intercept ~ps:pref_slope ~pc:pref_intercept ranges lo hi
               out)
-
-let eval_prefix ~prefix ~ranges ~lo ~hi ~out =
-  check_span ~what:"Batch.eval_prefix" ranges ~lo ~hi ~out;
-  let n = Array.length prefix - 1 in
-  for i = lo to hi do
-    let a, b = Array.unsafe_get ranges i in
-    if a < 1 || b < a || b > n then bad_range ~what:"Batch.eval_prefix" a b;
-    Array.unsafe_set out i
-      (Array.unsafe_get prefix b -. Array.unsafe_get prefix (a - 1))
-  done

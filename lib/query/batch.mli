@@ -4,7 +4,9 @@
     {!Rs_util.Tab}-backed per-bucket tables, with the representation
     dispatch hoisted out of the per-range loop — the serving hot path
     ([Rs_serve.Server]) evaluates one 64-range chunk per governor poll
-    through {!eval} instead of calling the per-range estimator k times.
+    through {!eval} (the bound rung: the whole request after one poll)
+    instead of calling the per-range estimator k times.  A plan is the
+    only domain-wide state a served entry holds.
 
     Bit-identity contract: for a plan compiled from a synopsis (see
     [Rs_core.Synopsis.batch_plan]), {!eval} reproduces the per-range
@@ -67,10 +69,3 @@ val eval : t -> ranges:(int * int) array -> lo:int -> hi:int -> out:float array 
     outside [ranges]/[out] or any visited range leaves [1..n] — the
     inner loops use unsafe table loads, so the range guard is part of
     the loop, never skipped. *)
-
-val eval_prefix :
-  prefix:float array -> ranges:(int * int) array -> lo:int -> hi:int -> out:float array -> unit
-(** Bound-rung batch evaluation off a per-entry prefix vector
-    (length n+1): [out.(i) ← prefix.(b) −. prefix.(a−1)] — exactly the
-    serving bound rung's per-range subtraction.  Same span and range
-    guards as {!eval}. *)

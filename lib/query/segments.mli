@@ -42,6 +42,12 @@ val estimator : part array -> Error.estimator
     segments), O(1) estimator calls.  Raises [Invalid_argument] on an
     empty part list, a non-positive width, or an out-of-domain query. *)
 
+val locate : int array -> int -> int
+(** [locate o a] is the largest [i] with [o.(i) < a], for a
+    non-decreasing offset array [o] with [o.(0) < a ≤ o.(length − 1)]:
+    the segment holding position [a] when segment [i] spans
+    [o.(i)+1 .. o.(i+1)].  O(log (length o)). *)
+
 val sse : Rs_util.Prefix.t -> parts:part array -> intra:float array -> float
 (** Exact SSE over all global ranges.  [intra.(i)] must be segment
     [i]'s SSE over {e its own} local ranges (e.g.

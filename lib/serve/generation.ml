@@ -11,7 +11,7 @@ type entry = {
   n : int;
   words : int;
   plan : Rs_query.Batch.t;
-  prefix : float array option;
+  bound : bool;
   rmse_bound : float option;
   mutable dirty : float;
   mutable stale : bool;
@@ -35,15 +35,17 @@ let rmse_of_sse ~n sse =
   let ranges = float_of_int n *. float_of_int (n + 1) /. 2. in
   sqrt (Float.max 0. sse /. ranges)
 
-(* Compile one freshly decoded entry: the batch plan, and one lowering
-   pass for both the prefix vector and (when the dataset covers the
-   domain) the RMSE bound — once per entry, never per request. *)
+(* Compile one freshly decoded entry: the batch plan and, when the
+   dataset covers the domain, the RMSE bound — once per entry, never
+   per request.  Without a dataset nothing domain-wide but the plan is
+   built. *)
 let compile ?dataset ~name ~bytes syn =
   let n = Synopsis.domain_size syn in
-  let dataset =
-    match dataset with Some ds when Dataset.n ds = n -> Some ds | _ -> None
+  let rmse_bound =
+    match dataset with
+    | Some ds when Dataset.n ds = n -> Some (rmse_of_sse ~n (Synopsis.sse ds syn))
+    | _ -> None
   in
-  let prefix, sse = Synopsis.prefix_and_sse ?dataset syn in
   {
     name;
     syn;
@@ -51,8 +53,8 @@ let compile ?dataset ~name ~bytes syn =
     n;
     words = Synopsis.storage_words syn;
     plan = Synopsis.batch_plan syn;
-    prefix;
-    rmse_bound = Option.map (rmse_of_sse ~n) sse;
+    bound = Synopsis.prefix_form syn;
+    rmse_bound;
     dirty = 0.;
     stale = false;
   }

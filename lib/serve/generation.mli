@@ -12,16 +12,17 @@
     A load decodes every changed entry once, reuses byte-equal entries
     of the previous generation, and holds no file handles.  An entry is
     byte-equal when its file holds exactly the bytes (compared in full)
-    the previous entry was decoded from; its synopsis, plan, prefix
-    vector and RMSE bound are then taken over as they are (all
-    immutable), under the same dataset only.
+    the previous entry was decoded from; its synopsis, plan and RMSE
+    bound are then taken over as they are (all immutable), under the
+    same dataset only.
 
-    When the daemon knows the dataset its synopses summarize, each
-    entry also carries a precomputed per-range RMSE bound over all
-    ranges (the PR-4 O(n) SSE lowerings make this one cheap pass per
-    entry at load time, not per request) and, when the representation
-    lowers to a prefix form, the prefix (boundary) vector that backs
-    the [Bound] degradation rung. *)
+    An entry's one domain-wide structure is its plan (an unboxed table,
+    outside the OCaml heap); the synopsis itself is O(B) words for a
+    histogram.  When the daemon knows the dataset its synopses
+    summarize, each entry also carries a precomputed per-range RMSE
+    bound over all ranges (the O(n) SSE lowerings make this one pass
+    per entry at load time, not per request); without a dataset no
+    lowering is built. *)
 
 type entry = {
   name : string;
@@ -31,11 +32,11 @@ type entry = {
   words : int;  (** storage words (paper accounting) *)
   plan : Rs_query.Batch.t;
       (** the vectorized evaluation plan ({!Rs_core.Synopsis.batch_plan},
-          compiled once at load) behind the [Exact] rung — answers
-          bit-identically to [Synopsis.estimate] *)
-  prefix : float array option;
-      (** [Ĉ[0..n]] when every answer is [Ĉ[b] − Ĉ[a−1]] — the O(1)
-          fast path behind the [Bound] rung *)
+          compiled once at load) behind the [Exact] and [Bound] rungs —
+          answers bit-identically to [Synopsis.estimate] *)
+  bound : bool;
+      (** the entry has a [Bound] rung: {!Rs_core.Synopsis.prefix_form}
+          (non-rounded [Avg] histograms, shared-prefix wavelets) *)
   rmse_bound : float option;
       (** [sqrt(SSE / #ranges)] over all ranges, from the load-time
           dataset; [None] without one (or on domain-size mismatch) *)

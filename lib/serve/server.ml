@@ -265,13 +265,13 @@ let eval_exact gov ~entry ~ranges ~out =
   done;
   not !expired
 
-let eval_bound gov ~prefix ~ranges ~out =
-  (* The boundary-estimate rung: one poll for the whole batch, then
-     O(1) per range off the precomputed prefix vector. *)
+let eval_bound gov ~entry ~ranges ~out =
+  (* The bound rung: one poll for the whole batch, then the entry's
+     plan over every range at once. *)
   match Governor.poll gov with
   | Governor.Expired _ -> false
   | Governor.Continue | Governor.Checkpoint_due ->
-      Rs_query.Batch.eval_prefix ~prefix ~ranges ~lo:0
+      Rs_query.Batch.eval entry.Generation.plan ~ranges ~lo:0
         ~hi:(Array.length ranges - 1)
         ~out;
       true
@@ -370,7 +370,7 @@ let answer_query t ~id ~synopsis ~ranges ~deadline_ms ~poll_budget =
             let out = Array.make nr 0. in
             (* Deterministic routing: spend the remaining poll budget on
                the cheapest rung that fits it.  When no cheaper governed
-               rung exists (no prefix vector), attempt exact regardless —
+               rung exists (no bound rung), attempt exact regardless —
                it expires mid-evaluation and the expiry is genuine. *)
             (* A budget of [b] expires at the [b]-th poll, so only
                [left - 1] working polls remain. *)
@@ -379,9 +379,7 @@ let answer_query t ~id ~synopsis ~ranges ~deadline_ms ~poll_budget =
               | None -> true
               | Some left -> left - 1 >= exact_polls nr
             in
-            let attempt_exact =
-              fits_exact || entry.Generation.prefix = None
-            in
+            let attempt_exact = fits_exact || not entry.Generation.bound in
             if attempt_exact && eval_exact gov ~entry ~ranges ~out then
               answer P.Exact out
             else
@@ -390,22 +388,21 @@ let answer_query t ~id ~synopsis ~ranges ~deadline_ms ~poll_budget =
                 | None -> true
                 | Some left -> left - 1 >= 1
               in
-              match entry.Generation.prefix with
-              | Some prefix
-                when fits_bound && eval_bound gov ~prefix ~ranges ~out ->
-                  answer P.Bound out
-              | _ ->
-                  let expiry =
-                    match Governor.poll gov with
-                    | Governor.Expired { elapsed; deadline; reason; _ } ->
-                        (elapsed, deadline, reason)
-                    | _ ->
-                        (* Unreachable in practice (we only get here
-                           once the governor expired or the budget ran
-                           dry), but keep the floor total. *)
-                        (Governor.elapsed gov, 0., Governor.Wall_clock)
-                  in
-                  stale_floor t ?id ~key ~expiry ())
+              if entry.Generation.bound && fits_bound
+                 && eval_bound gov ~entry ~ranges ~out
+              then answer P.Bound out
+              else
+                let expiry =
+                  match Governor.poll gov with
+                  | Governor.Expired { elapsed; deadline; reason; _ } ->
+                      (elapsed, deadline, reason)
+                  | _ ->
+                      (* Unreachable in practice (we only get here
+                         once the governor expired or the budget ran
+                         dry), but keep the floor total. *)
+                      (Governor.elapsed gov, 0., Governor.Wall_clock)
+                in
+                stale_floor t ?id ~key ~expiry ())
       end
 
 (* {2 Ingest} *)

@@ -7,11 +7,14 @@
     {e coordinator-only}: one domain owns the server, calls every
     function here and evaluates every range itself.  The exact rung
     answers each 64-range chunk through the entry's vectorized
-    {!Rs_query.Batch} plan between governor polls, and the bound rung
-    answers through {!Rs_query.Batch.eval_prefix}; tests pin both
-    against [Synopsis.estimate] and the prefix arithmetic.  A chunk is
-    about a microsecond of work, far below what handing it to a worker
-    domain would cost.
+    {!Rs_query.Batch} plan between governor polls; the bound rung
+    answers the whole request through the same plan after one poll, so
+    its estimates carry the exact rung's bits.  Only entries whose
+    answers are differences of one prefix vector
+    ({!Rs_core.Synopsis.prefix_form}) have a bound rung; the others
+    attempt exact on any budget.  Tests pin both rungs against
+    [Synopsis.estimate].  A chunk is about a microsecond of work, far
+    below what handing it to a worker domain would cost.
 
     {2 Admission and the ladder}
 

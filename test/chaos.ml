@@ -65,6 +65,15 @@ let floats_equal a b =
 let chunk = 64
 let exact_polls n = (n + chunk - 1) / chunk
 
+(* The entries that have a bound rung, read off the representation
+   here rather than asked of the server: non-rounded Avg histograms
+   and shared-prefix wavelets. *)
+let has_bound_rung = function
+  | Synopsis.Histogram h -> (
+      let module H = Rs_histogram.Histogram in
+      (not (H.rounded h)) && match H.repr h with H.Avg _ -> true | _ -> false)
+  | Synopsis.Wavelet w -> Rs_wavelet.Synopsis.prefix_hat_left w = None
+
 let soak ?(requests = 200) ?(clients = 1) ~seed config =
   if clients < 1 then invalid_arg "Chaos.soak: clients must be >= 1";
   let rng = Rng.create seed in
@@ -135,14 +144,15 @@ let soak ?(requests = 200) ?(clients = 1) ~seed config =
                   (fun (a, b) -> Synopsis.estimate entry.Generation.syn ~a ~b)
                   q.s_ranges,
                 entry.Generation.rmse_bound )
-        | P.Bound -> (
-            match entry.Generation.prefix with
-            | None -> None
-            | Some p ->
-                Some
-                  ( gen.Generation.gen_id,
-                    Array.map (fun (a, b) -> p.(b) -. p.(a - 1)) q.s_ranges,
-                    entry.Generation.rmse_bound ))
+        | P.Bound ->
+            if has_bound_rung entry.Generation.syn then
+              Some
+                ( gen.Generation.gen_id,
+                  Array.map
+                    (fun (a, b) -> Synopsis.estimate entry.Generation.syn ~a ~b)
+                    q.s_ranges,
+                  entry.Generation.rmse_bound )
+            else None
         | P.Stale -> None)
   in
   let check_deterministic_rung q rung =
@@ -151,14 +161,14 @@ let soak ?(requests = 200) ?(clients = 1) ~seed config =
     match (q.s_budget, q.s_deadline) with
     | Some b, None ->
         let c = exact_polls (Array.length q.s_ranges) in
-        let has_prefix =
+        let has_bound =
           match Generation.find (Server.generation server) q.s_synopsis with
-          | Some e -> e.Generation.prefix <> None
+          | Some e -> has_bound_rung e.Generation.syn
           | None -> false
         in
         let expected =
           if b >= c + 2 then P.Exact
-          else if b >= 3 && has_prefix then P.Bound
+          else if b >= 3 && has_bound then P.Bound
           else P.Stale
         in
         if rung <> expected then

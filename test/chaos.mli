@@ -12,9 +12,11 @@
       {!Rs_serve.Protocol.decode_response}, correlation id echoed;
     - {b no wrong answers}: [exact] estimates are recomputed from the
       server's live generation via {!Rs_core.Synopsis.estimate} and must
-      match bit-for-bit; [bound] answers must match the prefix-vector
-      arithmetic; [stale] answers must be byte-identical to an answer
-      previously returned for the same key;
+      match bit-for-bit; [bound] answers likewise (the bound rung
+      evaluates the same plan), and only from entries with a bound rung
+      (non-rounded [Avg] histograms, shared-prefix wavelets); [stale]
+      answers must be byte-identical to an answer previously returned
+      for the same key;
     - {b no unlabeled degradation}: every answer carries its rung;
       [rmse_bound] must match the generation's precomputed bound on
       governed rungs and be absent on [stale];

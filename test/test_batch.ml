@@ -2,9 +2,9 @@
    Synopsis.batch_plan must answer bit-identically to the per-range
    estimate for every representation — the serving layer's
    byte-determinism contract rides on this equivalence.  Every vector
-   workload is re-run through the bounds-checked per-range oracles
-   below ([eval_one], [eval_prefix_one]), the Debug discipline for the
-   kernel's unsafe table loads. *)
+   workload is re-run through the bounds-checked per-range oracle
+   below ([eval_one]), the Debug discipline for the kernel's unsafe
+   table loads. *)
 
 module S = Rs_core.Synopsis
 module Dataset = Rs_core.Dataset
@@ -57,9 +57,6 @@ let eval_one syn =
             left +. (cum.(kb) -. cum.(ka + 1)) +. right
         in
         if H.rounded h then Float.round raw else raw
-
-(* The bound rung's per-range oracle. *)
-let eval_prefix_one ~prefix ~a ~b = prefix.(b) -. prefix.(a - 1)
 
 (* The synopsis bestiary: every representation the serving layer can
    hold — Avg (plain and rounded), SAP0, explicit SAP0, SAP1,
@@ -183,32 +180,6 @@ let twin_sweep () =
   if !workloads < 500 then
     Alcotest.failf "only %d twin workloads ran (need >= 500)" !workloads
 
-let prefix_twins () =
-  List.iter
-    (fun (label, ds, syn) ->
-      match S.prefix_vector syn with
-      | None -> ()
-      | Some prefix ->
-          let n = Dataset.n ds in
-          let rng = Rng.create 0x9E1 in
-          for _ = 1 to 50 do
-            let k = Rng.int rng 33 in
-            let ranges =
-              Array.init k (fun _ ->
-                  let a = 1 + Rng.int rng n in
-                  (a, a + Rng.int rng (n - a + 1)))
-            in
-            let out = Array.make (max 1 k) nan in
-            Batch.eval_prefix ~prefix ~ranges ~lo:0 ~hi:(k - 1) ~out;
-            Array.iteri
-              (fun i (a, b) ->
-                check_bits (label ^ ": eval_prefix")
-                  (eval_prefix_one ~prefix ~a ~b)
-                  out.(i))
-              ranges
-          done)
-    (Lazy.force subjects)
-
 let rejects () =
   let ds = Dataset.paper () in
   let n = Dataset.n ds in
@@ -236,12 +207,7 @@ let rejects () =
       Batch.eval plan ~ranges:[| (1, 2) |] ~lo:0 ~hi:1 ~out);
   expect_invalid "out too short" (fun () ->
       Batch.eval plan ~ranges:(Array.make 8 (1, 2)) ~lo:0 ~hi:7
-        ~out:(Array.make 4 0.));
-  expect_invalid "eval_prefix bad range" (fun () ->
-      Batch.eval_prefix
-        ~prefix:(Array.make (n + 1) 0.)
-        ~ranges:[| (n, n + 1) |]
-        ~lo:0 ~hi:0 ~out)
+        ~out:(Array.make 4 0.))
 
 let () =
   Alcotest.run "batch"
@@ -250,7 +216,6 @@ let () =
         [
           Alcotest.test_case "batch-vs-estimate bit twins (>=500 workloads)"
             `Quick twin_sweep;
-          Alcotest.test_case "prefix-vector batch twins" `Quick prefix_twins;
           Alcotest.test_case "invalid spans and ranges reject" `Quick rejects;
         ] );
     ]

@@ -92,23 +92,27 @@ let test_equal_and_pp () =
   let s = Format.asprintf "%a" Bucket.pp a in
   Alcotest.(check bool) "pp" true (Helpers.contains s "1..2")
 
+(* n up to 200 and B from 1 to n (singletons included, by the clamp),
+   so the binary search behind [bucket_of] runs at every depth;
+   [left]/[right] are checked against [bounds] in the same loop. *)
 let prop_bucket_of_consistent =
   Helpers.qtest "bucket_of agrees with bounds"
-    QCheck.(pair (int_range 1 40) (int_range 1 10))
+    QCheck.(pair (int_range 1 200) (int_range 1 200))
     (fun (n, b) ->
       let rng = Rng.create (n * 1000 + b) in
       let b = min b n in
       (* Random bucketing: choose b−1 distinct interior cut points. *)
       let perm = Rng.permutation rng (n - 1) in
-      let cuts = Array.sub perm 0 (min (b - 1) (n - 1)) in
+      let cuts = Array.sub perm 0 (b - 1) in
       Array.sort compare cuts;
       let rights = Array.append (Array.map (fun c -> c + 1) cuts) [| n |] in
       let bk = Bucket.of_rights ~n rights in
-      let ok = ref true in
+      let ok = ref (Bucket.count bk = b) in
       for i = 1 to n do
         let k = Bucket.bucket_of bk i in
         let l, r = Bucket.bounds bk k in
-        if not (l <= i && i <= r) then ok := false
+        if not (l <= i && i <= r && Bucket.left bk i = l && Bucket.right bk i = r)
+        then ok := false
       done;
       !ok)
 

@@ -7,7 +7,11 @@
      moment cell bit-identical, and the same Invalid_argument message
      when a moment overflows.
    - Allocation: Prefix.create allocates O(1) minor words whatever n,
-     and Dataset.load_result a small constant of words per value. *)
+     and Dataset.load_result a small constant of words per value.
+   - Memory: a decoded histogram over n = 262,144 is O(B) heap words,
+     and a served entry built for it without a dataset reaches no heap
+     array as wide as the domain (its plan's tables are Bigarrays,
+     outside the OCaml heap). *)
 
 module Error = Rs_util.Error
 module Prefix = Rs_util.Prefix
@@ -301,6 +305,51 @@ let test_load_alloc () =
   if per_value > 3. then
     Alcotest.failf "Dataset.load_result: %.2f words per value (at most 3)" per_value
 
+(* --- memory pins ---------------------------------------------------------- *)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* The query-scan shape: an equi-width-reopt histogram over n = 262,144
+   at 256 words (128 buckets), stored, then decoded and served. *)
+let test_decoded_entry_words () =
+  let n = 262_144 in
+  let rng = Rng.create 0x5CA5 in
+  let ds =
+    Dataset.of_floats ~name:"scan" (Array.init n (fun _ -> float_of_int (Rng.int rng 1000)))
+  in
+  let syn = Rs_core.Builder.build ds ~method_name:"equi-width-reopt" ~budget_words:256 in
+  let dir = Filename.temp_file "rs_mem" ".store" in
+  Sys.remove dir;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) @@ fun () ->
+  Rs_core.Store.put (Rs_core.Store.open_dir dir) ~name:"scan.ew256" syn;
+  let gen = Error.get (Rs_serve.Generation.load ~gen_id:1 dir) in
+  let entry = Option.get (Rs_serve.Generation.find gen "scan.ew256") in
+  let b =
+    match entry.Rs_serve.Generation.syn with
+    | Rs_core.Synopsis.Histogram h ->
+        Rs_histogram.Bucket.count (Rs_histogram.Histogram.bucketing h)
+    | Rs_core.Synopsis.Wavelet _ -> Alcotest.fail "expected a histogram"
+  in
+  Alcotest.(check int) "128 buckets" 128 b;
+  let cap = (64 * b) + 1024 in
+  let decoded = Error.get (Rs_core.Codec.decode_result entry.Rs_serve.Generation.bytes) in
+  List.iter
+    (fun (what, syn) ->
+      let words = Obj.reachable_words (Obj.repr syn) in
+      if words > cap then
+        Alcotest.failf "%s: %d reachable words (at most 64·B + 1024 = %d)" what words cap)
+    [ ("Codec.decode_result", decoded); ("the entry's synopsis", entry.Rs_serve.Generation.syn) ];
+  (* Any heap array of length >= n would alone be n words. *)
+  let words = Obj.reachable_words (Obj.repr entry) in
+  if words >= n then
+    Alcotest.failf "the served entry reaches %d heap words (an array as wide as n = %d?)"
+      words n
+
 let () =
   Alcotest.run "load"
     [
@@ -319,5 +368,10 @@ let () =
         [
           Alcotest.test_case "Prefix.create O(1) minor words" `Quick test_prefix_create_alloc;
           Alcotest.test_case "load_result words per value" `Quick test_load_alloc;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "decoded histogram and served entry are O(B)" `Quick
+            test_decoded_entry_words;
         ] );
     ]

@@ -24,6 +24,7 @@ module Cost = Rs_histogram.Cost
 module Dp = Rs_histogram.Dp
 module Bucket = Rs_histogram.Bucket
 module H = Rs_histogram.Histogram
+module W = Rs_wavelet.Synopsis
 module Dataset = Rs_core.Dataset
 module Builder = Rs_core.Builder
 module Synopsis = Rs_core.Synopsis
@@ -490,7 +491,9 @@ let test_rounded_is_opaque () =
   (match H.lowering rounded with
   | H.Opaque -> ()
   | _ -> Alcotest.fail "rounded histogram must be Opaque");
-  Alcotest.(check bool) "no prefix vector" true (H.prefix_vector rounded = None);
+  Alcotest.(check bool)
+    "no prefix form" false
+    (Synopsis.prefix_form (Synopsis.Histogram rounded));
   (* and the dispatch still measures it correctly, via the sweep *)
   let ds = Dataset.of_floats [| 1.; 4.; 2.; 8.; 5.; 7. |] in
   Helpers.check_close ~tol:1e-9 "opaque sse"
@@ -505,16 +508,30 @@ let test_prefix_vector_surface () =
     | Error e -> Alcotest.failf "%s: %s" m (Error.to_string e)
   in
   let p = Dataset.prefix ds in
-  (* Avg histograms and shared-prefix wavelets expose a vector whose
-     prefix-form SSE matches the sweep; SAP and two-sided do not. *)
+  (* The one prefix vector every answer is a difference of, read off
+     the lowering — [None] for SAP and two-sided representations. *)
+  let prefix_of = function
+    | Synopsis.Histogram h -> (
+        match H.lowering h with H.Prefix_form d -> Some d | _ -> None)
+    | Synopsis.Wavelet w -> (
+        match W.prefix_hat_left w with
+        | None -> Some (W.prefix_hat w)
+        | Some _ -> None)
+  in
+  (* Avg histograms and shared-prefix wavelets lower to a vector whose
+     prefix-form SSE matches the sweep, and [Synopsis.prefix_form]
+     agrees; SAP and two-sided do not. *)
   List.iter
     (fun m ->
-      match Synopsis.prefix_vector (get m) with
+      let syn = get m in
+      if not (Synopsis.prefix_form syn) then
+        Alcotest.failf "%s: expected prefix_form" m;
+      match prefix_of syn with
       | None -> Alcotest.failf "%s: expected a prefix vector" m
       | Some d ->
           Helpers.check_close ~tol:1e-8
             (m ^ " prefix vector")
-            (sse_sweep ds (get m))
+            (sse_sweep ds syn)
             (Qerr.sse_prefix_form p d))
     (* opt-a-rounded rounds its DP value grid, not its answers, so its
        output is a plain Avg histogram and keeps the vector *)
@@ -522,7 +539,8 @@ let test_prefix_vector_surface () =
       "topbb" ];
   List.iter
     (fun m ->
-      if Synopsis.prefix_vector (get m) <> None then
+      let syn = get m in
+      if prefix_of syn <> None || Synopsis.prefix_form syn then
         Alcotest.failf "%s: unexpected prefix vector" m)
     [ "sap0"; "sap1"; "wave-aa" ]
 

@@ -39,8 +39,9 @@ let with_tmp_dir f =
 let paper = Dataset.generate "paper"
 let n = Dataset.n paper
 
-(* Store fixture: a prefix-capable histogram, a prefix-less SAP1 and a
-   wavelet synopsis — the three serving shapes. *)
+(* Store fixture: an Avg histogram and a shared-prefix wavelet (both
+   with a bound rung) and a SAP1 (without one) — the three serving
+   shapes. *)
 let fixture_methods =
   [ ("opta", "opt-a", 24); ("sap1", "sap1", 24); ("wave", "wave-range-opt", 24) ]
 
@@ -1248,10 +1249,13 @@ let test_generation_load () =
   Alcotest.(check bool) "nothing quarantined" true (gen.Generation.quarantined = []);
   let opta = Option.get (Generation.find gen "opta") in
   Alcotest.(check int) "domain size" n opta.Generation.n;
-  Alcotest.(check bool) "opt-a has a prefix vector" true (opta.Generation.prefix <> None);
+  Alcotest.(check bool) "opt-a has a bound rung" true opta.Generation.bound;
   Alcotest.(check bool) "rmse bound present" true (opta.Generation.rmse_bound <> None);
   let sap1 = Option.get (Generation.find gen "sap1") in
-  Alcotest.(check bool) "sap1 has no prefix vector" true (sap1.Generation.prefix = None);
+  Alcotest.(check bool) "sap1 has no bound rung" false sap1.Generation.bound;
+  Alcotest.(check bool)
+    "wave has a bound rung" true
+    (Option.get (Generation.find gen "wave")).Generation.bound;
   (* and the bound really is sqrt(SSE / #ranges) *)
   let expected =
     sqrt (Synopsis.sse paper opta.Generation.syn /. (float_of_int n *. float_of_int (n + 1) /. 2.))
@@ -1333,12 +1337,26 @@ let test_budget_routing () =
   let b = expect_answers (Server.handle_line server (query ~synopsis:"opta" ~poll_budget:3 ranges)) in
   Alcotest.(check bool) "budget 3 -> bound" true (b.rung = P.Bound);
   Alcotest.(check bool) "bound carries the rmse bound" true (b.rmse_bound <> None);
+  (* The bound rung evaluates the entry's plan after one poll: an Avg
+     histogram's bound estimates carry the exact rung's bits. *)
   let entry = Option.get (Generation.find (Server.generation server) "opta") in
-  let prefix = Option.get entry.Generation.prefix in
   let expected =
-    Array.of_list (List.map (fun (a, b) -> prefix.(b) -. prefix.(a - 1)) ranges)
+    Array.of_list
+      (List.map (fun (a, b) -> Synopsis.estimate entry.Generation.syn ~a ~b) ranges)
   in
-  check_floats "bound = prefix arithmetic" expected b.estimates;
+  check_floats "bound = Synopsis.estimate" expected b.estimates;
+  check_floats "bound = exact" a.estimates b.estimates;
+  (* A shared-prefix wavelet's bound estimates are differences of its
+     prefix vector, bit for bit. *)
+  let w = expect_answers (Server.handle_line server (query ~synopsis:"wave" ~poll_budget:3 ranges)) in
+  Alcotest.(check bool) "wave budget 3 -> bound" true (w.rung = P.Bound);
+  (match (Option.get (Generation.find (Server.generation server) "wave")).Generation.syn with
+  | Synopsis.Wavelet wv ->
+      let d = Rs_wavelet.Synopsis.prefix_hat wv in
+      check_floats "wave bound = prefix_hat differences"
+        (Array.of_list (List.map (fun (a, b) -> d.(b) -. d.(a - 1)) ranges))
+        w.estimates
+  | Synopsis.Histogram _ -> Alcotest.fail "wave entry is not a wavelet");
   (* budget 2: one working poll — stale floor; the exact answer above
      primed the cache for this key *)
   let c = expect_answers (Server.handle_line server (query ~synopsis:"opta" ~poll_budget:2 ranges)) in
@@ -1431,7 +1449,7 @@ let test_no_prefix_falls_to_floor () =
   let (_ : Store.t) = make_store dir in
   with_server dir @@ fun server ->
   let ranges = many_ranges 100 in
-  (* sap1 has no prefix vector: budget 3 cannot finish exact (needs 4),
+  (* sap1 has no bound rung: budget 3 cannot finish exact (needs 4),
      there is no bound rung, the cache is cold -> typed refusal *)
   let r = expect_refusal (Server.handle_line server (query ~synopsis:"sap1" ~poll_budget:3 ranges)) in
   Alcotest.(check bool) "deadline refusal" true (r.refusal = P.Deadline);
@@ -1868,10 +1886,11 @@ let test_interleaved_restart_determinism () =
     first
 
 (* The wire answers against independent oracles.  Every exact estimate
-   must carry the bits of [Synopsis.estimate] on the generation's entry,
-   every bound estimate those of [prefix.(b) -. prefix.(a-1)] off its
-   prefix vector, and every stale reply must be byte-equal to the exact
-   reply it replays, relabelled.  Together with test_batch's kernel
+   and every bound estimate must carry the bits of [Synopsis.estimate]
+   on the generation's entry (the bound rung evaluates the same plan
+   after one poll), only entries with a bound rung may answer bound,
+   and every stale reply must be byte-equal to the exact reply it
+   replays, relabelled.  Together with test_batch's kernel
    pins, this is what keeps the batch plans honest on the serving path. *)
 let oracle_lines =
   probe_lines
@@ -1924,9 +1943,12 @@ let test_answers_match_oracles () =
                   estimates;
                 Hashtbl.replace exact (synopsis, ranges) (generation, estimates)
             | P.Bound ->
-                let prefix = Option.get entry.Generation.prefix in
+                if not (Synopsis.prefix_form entry.Generation.syn) then
+                  Alcotest.failf "%s: bound reply from an entry without a bound rung" id;
                 bits_equal (id ^ " bound")
-                  (Array.map (fun (a, b) -> prefix.(b) -. prefix.(a - 1)) ranges)
+                  (Array.map
+                     (fun (a, b) -> Synopsis.estimate entry.Generation.syn ~a ~b)
+                     ranges)
                   estimates
             | P.Stale -> (
                 match Hashtbl.find_opt exact (synopsis, ranges) with
